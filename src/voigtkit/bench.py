@@ -101,7 +101,13 @@ class BenchRecord:
             raise DomainError(f"exp_fraction must lie in (0, 1), got {self.exp_fraction!r}")
 
 
-_WEIDEMAN_CLASS_BOUND = {8: 1e-2, 16: 1e-4, 32: 1e-10}
+#: Worst acceptable relative error of each implementation: eq1/eq3 per
+#: preset, against the oracle; Weideman per degree (its accuracy class).
+ACCURACY_GATES = {
+    ("eq3", "high"): 1e-10, ("eq3", "fast"): 1e-5,
+    ("eq1", "high"): 1e-10, ("eq1", "fast"): 1e-5,
+    ("weideman", 8): 1e-2, ("weideman", 16): 1e-4, ("weideman", 32): 1e-10,
+}
 
 
 def _resolve_impl(impl, params, degree, workers):
@@ -129,7 +135,7 @@ def _correctness_guard(impl: ImplId, zs, fn, params, degree) -> None:
     else:
         ref = core.eval_eq3_batch(sample, core.Preset.HIGH.params)
         rel = np.abs(got - ref) / np.abs(ref)
-        bound = 1e-8 if impl is ImplId.EQ1 else _WEIDEMAN_CLASS_BOUND.get(degree, 0.1)
+        bound = 1e-8 if impl is ImplId.EQ1 else ACCURACY_GATES.get(("weideman", degree), 0.1)
     worst = float(rel.max())
     if not worst <= bound:
         raise BenchmarkError(

@@ -29,15 +29,6 @@ from .exceptions import (BenchmarkError, DomainError, OracleConvergenceError,
 
 OUTPUT_DIR_ENV = "VOIGTKIT_OUTPUT_DIR"
 
-#: validate gates: worst acceptable relative error per (impl, preset/degree)
-VALIDATE_GATES = {
-    ("eq3", "high"): 1e-10,
-    ("eq3", "fast"): 1e-5,
-    ("eq1", "high"): 1e-10,
-    ("eq1", "fast"): 1e-5,
-}
-WEIDEMAN_GATE = 1e-4     # degree-16 accuracy class
-
 
 def _preset(name: str) -> core.ApproxParams:
     return core.Preset[name.upper()].params
@@ -127,16 +118,15 @@ def _load_grid(arg: str) -> oracle.GridSpec:
 def _cmd_validate(args) -> int:
     grid = _load_grid(args.grid)
     params = _preset(args.preset)
-    if args.impl == "eq3":
-        evaluator = lambda zs: core.eval_eq3_batch(zs, params)
-        gate = VALIDATE_GATES[("eq3", args.preset)]
-    elif args.impl == "eq1":
-        evaluator = lambda zs: core.eval_eq1_batch(zs, params)
-        gate = VALIDATE_GATES[("eq1", args.preset)]
-    else:
+    if args.impl == "weideman":
         coeffs = weideman.weideman_coefficients(args.degree)
         evaluator = lambda zs: weideman.weideman_batch(zs, coeffs)
-        gate = WEIDEMAN_GATE
+        # the comparator is held to its degree-16 class at every --degree
+        gate = bench_mod.ACCURACY_GATES[("weideman", weideman.DEFAULT_DEGREE)]
+    else:
+        batch = core.eval_eq3_batch if args.impl == "eq3" else core.eval_eq1_batch
+        evaluator = lambda zs: batch(zs, params)
+        gate = bench_mod.ACCURACY_GATES[(args.impl, args.preset)]
     report = oracle.error_scan(grid, evaluator, oracle.OracleConfig(digits=args.digits))
     ok = report.max_rel_err <= gate
     print(f"impl={args.impl} preset={args.preset} digits={args.digits} "
@@ -232,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="default",
                    help="'default' or a JSON file with x_values/y_values")
     p.add_argument("--degree", type=int, default=weideman.DEFAULT_DEGREE,
-                   help="weideman term count")
+                   help="weideman term count; the gate is the degree-16 class "
+                        "gate (1e-4) at every degree")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("bench", help="time implementations, emit CSV records")

@@ -15,18 +15,21 @@ Two algebraically equivalent forms are provided:
 * :func:`eval_eq3` -- the production form.  Collapsing the +n/-n term pairs
   leaves a single complex exponential per point plus a short sum of rational
   terms; the removable singularities at tau_m*z -> 0 and tau_m*z -> +-n*pi
-  are evaluated by guarded truncated-series limits, so every finite input
-  in the closed upper half-plane yields a finite value.
+  are evaluated by guarded truncated-series limits, so every input in the
+  closed upper half-plane with |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m)
+  yields a finite value; inputs outside that box raise DomainError.
 
 Batch evaluation follows a three-array scheme: A = tau_m*z, B = exp(i*A)
 and C = A*A are materialized once each, with B the only transcendental
 pass over the data.  All evaluators are elementwise, so batch output is
-bitwise identical to a scalar sweep and independent of chunking.
+bitwise identical to a scalar sweep (a 1-element batch) and independent
+of chunking.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -56,6 +59,7 @@ _PI = math.pi
 _PI2 = math.pi * math.pi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_LN2 = math.sqrt(math.log(2.0))
+_SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
 
 #: Guard radius: inside |tau_m*z| < GUARD_RADIUS or |tau_m*z -+ n*pi| < GUARD_RADIUS
 #: the affected 0/0 term of the production form is replaced by a 4th-order
@@ -116,8 +120,6 @@ def fourier_coefficients(tau_m: float, n_terms: int) -> ApproxParams:
     tau_m = float(tau_m)
     if not (math.isfinite(tau_m) and tau_m > 0.0):
         raise DomainError(f"tau_m must be finite and > 0, got {tau_m!r}")
-    if n_terms < 1:
-        raise DomainError(f"n_terms must be >= 1, got {n_terms!r}")
     n = np.arange(n_terms + 1, dtype=np.float64)
     a0 = 2.0 * _SQRT_PI / tau_m
     a = a0 * np.exp(-(n * n) * (_PI2 / (tau_m * tau_m)))
@@ -186,23 +188,37 @@ class VoigtLine:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _as_complex_array(zs) -> np.ndarray:
+def _validated(zs, params: ApproxParams, caller: str | None = None):
+    """``zs`` as a flat complex128 array plus its shape.  Raises DomainError
+    with the index of the first non-finite element, else of the first with a
+    component of size >= sqrt(DBL_MAX)/(2*tau_m) (A*A and the loop's
+    divisions would leave binary64 range), else, when ``caller`` is given,
+    of the first with Im z < 0."""
     z = np.asarray(zs, dtype=np.complex128)
-    return z
+    flat = z.ravel()
+    v = flat.view(np.float64)
+    limit = _SQRT_DBL_MAX / (2.0 * params.tau_m)
+    if flat.size and not (v.min() > -limit and v.max() < limit):
+        bad = ~np.isfinite(flat)
+        what = "non-finite input"
+        if not bad.any():
+            bad = (np.abs(flat.real) >= limit) | (np.abs(flat.imag) >= limit)
+            what = f"component of size >= sqrt(DBL_MAX)/(2*tau_m) = {limit:.6g}"
+        i = int(np.argmax(bad))
+        raise DomainError(f"{what} at index {i}: {flat[i]!r}", index=i)
+    if caller is not None:
+        neg = flat.imag < 0.0
+        if neg.any():
+            i = int(np.argmax(neg))
+            raise DomainError(f"{caller} requires Im z >= 0; index {i} is {flat[i]!r}",
+                              index=i)
+    return flat, z.shape
 
 
-def _check_finite(z: np.ndarray) -> None:
-    bad = ~np.isfinite(z)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"non-finite input at index {i}: {z.ravel()[i]!r}", index=i)
-
-
-def _check_scalar(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    return z
+def _scalar_call(batch, z, *args) -> complex:
+    """``batch`` on the 1-element array [z]: a scalar entry point shares the
+    bits and the errors (with index 0) of its batch function."""
+    return complex(batch(np.array([complex(z)]), *args)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,88 +237,61 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # batch == scalar-sweep contract.  Non-aliased multiplies, divisions and
 # additions are position-stable.
 
-def _w_upper_plain(A, B, tau, a, n_terms):
-    """Rational-term loop of the single-exponential form.  Denominators may
-    vanish inside the guard band; callers overwrite those elements.
-    A and B are preserved (the guard fix-up re-reads them)."""
+def _w_upper(A, B, params, guard):
+    """Rational-term loop of the single-exponential form.  ``guard`` replaces
+    each term whose denominator is inside the guard radius by its series
+    limit (without it such denominators may vanish); the operation order is
+    the same, so other elements get the same bits.  A and B are preserved."""
+    a = params.coefficients
     D = A * A                      # becomes n^2 pi^2 - A^2, updated in place
     np.negative(D, out=D)
     D += _PI2
     acc = np.zeros_like(A)
     T = np.empty_like(A)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(1, n_terms + 1):
+        for n in range(1, params.n_terms + 1):
             if n > 1:
                 D += (2 * n - 1) * _PI2
             an = a[n]
             np.multiply(B, -an if n & 1 else an, out=T)   # a_n * (-1)^n * B
             T -= an
             T /= D
+            if guard:
+                npi = n * _PI
+                for s in (1.0, -1.0):
+                    u = A - s * npi
+                    m = np.abs(u) < GUARD_RADIUS
+                    if m.any():
+                        um = u[m]
+                        # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
+                        #   == -s*a_n*(e^{iu} - 1)/u / (2 n pi + s u),  u = A - s n pi
+                        T[m] = (-s * an * 1j) * _series_ratio_p4(1j * um) / (2.0 * npi + s * um)
             acc += T
         np.multiply(acc, A, out=T)                        # A * sum
-        np.multiply(T, 1j * (tau / _SQRT_PI), out=acc)
+        np.multiply(T, 1j * (params.tau_m / _SQRT_PI), out=acc)
         np.subtract(1.0, B, out=T)                        # i*(1 - B)/A
         T /= A
         np.multiply(T, 1j, out=D)
-        acc += D
-    return acc
-
-
-def _w_upper_guarded(A, B, tau, a, n_terms):
-    """Same operation order as :func:`_w_upper_plain`, with every term whose
-    denominator falls inside the guard radius replaced by its series limit.
-    Bitwise identical to the plain loop for unguarded elements."""
-    D = A * A
-    np.negative(D, out=D)
-    D += _PI2
-    acc = np.zeros_like(A)
-    T = np.empty_like(A)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(1, n_terms + 1):
-            if n > 1:
-                D += (2 * n - 1) * _PI2
-            an = a[n]
-            np.multiply(B, -an if n & 1 else an, out=T)
-            T -= an
-            T /= D
-            npi = n * _PI
-            for s in (1.0, -1.0):
-                u = A - s * npi
-                m = np.abs(u) < GUARD_RADIUS
-                if m.any():
-                    um = u[m]
-                    # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
-                    #   == -s*a_n*(e^{iu} - 1)/u / (2 n pi + s u),  u = A - s n pi
-                    T[m] = (-s * an * 1j) * _series_ratio_p4(1j * um) / (2.0 * npi + s * um)
-            acc += T
-        np.multiply(acc, A, out=T)
-        np.multiply(T, 1j * (tau / _SQRT_PI), out=acc)
-        np.subtract(1.0, B, out=T)
-        T /= A
-        np.multiply(T, 1j, out=D)
-        m0 = np.abs(A) < GUARD_RADIUS
-        if m0.any():
-            D[m0] = _series_ratio_p4(1j * A[m0])          # i*(1-e^{iA})/A limit
+        if guard:
+            m0 = np.abs(A) < GUARD_RADIUS
+            if m0.any():
+                D[m0] = _series_ratio_p4(1j * A[m0])      # i*(1-e^{iA})/A limit
         acc += D
     return acc
 
 
 def _w_upper_kernel(z: np.ndarray, params: ApproxParams) -> np.ndarray:
     """Single-exponential form over the closed upper half-plane (1-D input)."""
-    tau = params.tau_m
-    a = params.coefficients
-    n_terms = params.n_terms
-    A = z * tau
+    A = z * params.tau_m
     B = np.exp(1j * A)             # the only transcendental pass
     # |u| >= |Im u| = |Im A|: guards can only trigger where Im A is tiny.
     near = np.abs(A.imag) < GUARD_RADIUS
-    if not near.any():
-        return _w_upper_plain(A, B, tau, a, n_terms)
     if near.all():
-        return _w_upper_guarded(A, B, tau, a, n_terms)
-    w = _w_upper_plain(A, B, tau, a, n_terms)
-    idx = np.flatnonzero(near)
-    w[idx] = _w_upper_guarded(A[idx], B[idx], tau, a, n_terms)
+        return _w_upper(A, B, params, guard=True)
+    w = _w_upper(A, B, params, guard=False)
+    if near.any():
+        idx = np.flatnonzero(near)
+        w[idx] = _w_upper(A[idx], B[idx], params, guard=True)
     return w
 
 
@@ -332,33 +321,23 @@ def eval_eq3(z, params=None) -> complex:
     single-exponential production form.
 
     Removable singularities (tau_m*z near 0 or near +-n*pi) are evaluated by
-    guarded series limits, so any finite z with Im z >= 0 yields a finite value.
+    guarded series limits, so any valid z yields a finite value.
 
     Raises
     ------
     DomainError
-        If z is non-finite or Im z < 0.
+        If z is non-finite, has a component of size >= sqrt(DBL_MAX)/(2*tau_m),
+        or has Im z < 0 (``index`` is 0).
     """
-    z = _check_scalar(z)
-    if z.imag < 0.0:
-        raise DomainError(f"eval_eq3 requires Im z >= 0, got {z!r}")
-    params = _resolve_params(params)
-    return complex(_w_upper_kernel(np.array([z], dtype=np.complex128), params)[0])
+    return _scalar_call(eval_eq3_batch, z, params)
 
 
 def eval_eq3_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """Vectorized :func:`eval_eq3`.  Output is bitwise identical to a scalar
     sweep and independent of ``workers`` or chunk boundaries."""
     params = _resolve_params(params)
-    z = _as_complex_array(zs)
-    flat = z.ravel()
-    _check_finite(flat)
-    neg = flat.imag < 0.0
-    if neg.any():
-        i = int(np.flatnonzero(neg)[0])
-        raise DomainError(f"eval_eq3 requires Im z >= 0; index {i} is {flat[i]!r}",
-                          index=i)
-    return _kernel_chunked(flat, params, workers).reshape(z.shape)
+    flat, shape = _validated(zs, params, "eval_eq3")
+    return _kernel_chunked(flat, params, workers).reshape(shape)
 
 
 def eval_eq1(z, params=None) -> complex:
@@ -372,51 +351,32 @@ def eval_eq1(z, params=None) -> complex:
     Raises
     ------
     DomainError
-        If z is non-finite, Im z < 0, or tau_m*z is within the guard radius
-        of a removable singularity.
+        If z is non-finite, has a component of size >= sqrt(DBL_MAX)/(2*tau_m),
+        has Im z < 0, or tau_m*z is within the guard radius of a removable
+        singularity (``index`` is 0).
     """
-    z = _check_scalar(z)
-    if z.imag < 0.0:
-        raise DomainError(f"eval_eq1 requires Im z >= 0, got {z!r}")
-    params = _resolve_params(params)
-    return complex(_eq1_kernel(np.array([z], dtype=np.complex128), params)[0])
+    return _scalar_call(eval_eq1_batch, z, params)
 
 
 def eval_eq1_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq1`."""
     params = _resolve_params(params)
-    z = _as_complex_array(zs)
-    flat = z.ravel()
-    _check_finite(flat)
-    neg = flat.imag < 0.0
-    if neg.any():
-        i = int(np.flatnonzero(neg)[0])
-        raise DomainError(f"eval_eq1 requires Im z >= 0; index {i} is {flat[i]!r}",
-                          index=i)
-    return _eq1_kernel(flat, params).reshape(z.shape)
+    flat, shape = _validated(zs, params, "eval_eq1")
+    return _eq1_kernel(flat, params).reshape(shape)
 
 
 def _eq1_reject_singular(A: np.ndarray, n_terms: int) -> None:
-    near = np.abs(A.imag) < GUARD_RADIUS
-    if not near.any():
-        return
-    idx = np.flatnonzero(near)
+    idx = np.flatnonzero(np.abs(A.imag) < GUARD_RADIUS)
     Ac = A[idx]
-    r = np.abs(Ac)
-    small = r < GUARD_RADIUS
-    if small.any():
-        i = int(idx[np.flatnonzero(small)[0]])
-        raise DomainError(
-            f"eval_eq1 denominator below guard radius at index {i}: |tau_m*z| < "
-            f"{GUARD_RADIUS}", index=i)
+    # nearest k*pi, k = 0 being the origin
     k = np.rint(np.abs(Ac.real) / _PI)
     s = np.where(Ac.real >= 0.0, 1.0, -1.0)
-    hit = (k >= 1) & (k <= n_terms) & (np.abs(Ac - s * k * _PI) < GUARD_RADIUS)
+    hit = (k <= n_terms) & (np.abs(Ac - s * k * _PI) < GUARD_RADIUS)
     if hit.any():
-        i = int(idx[np.flatnonzero(hit)[0]])
+        j = int(np.argmax(hit))
         raise DomainError(
-            f"eval_eq1 denominator below guard radius at index {i}: tau_m*z within "
-            f"{GUARD_RADIUS} of a multiple of pi", index=i)
+            f"eval_eq1 denominator below guard radius at index {idx[j]}: tau_m*z "
+            f"within {GUARD_RADIUS} of k*pi, k = {int(k[j])}", index=int(idx[j]))
 
 
 def _eq1_kernel(z: np.ndarray, params: ApproxParams) -> np.ndarray:
@@ -444,14 +404,13 @@ def eval_w(z, params=None) -> complex:
     Raises
     ------
     DomainError
-        If z is non-finite.
+        If z is non-finite or has a component of size >= sqrt(DBL_MAX)/(2*tau_m)
+        (``index`` is 0).
     ReflectionOverflowError
         If exp(-z^2) exceeds the binary64 range (large |Im z| below the axis):
         the lower half-plane value is not representable.
     """
-    z = _check_scalar(z)
-    params = _resolve_params(params)
-    return complex(eval_batch(np.array([z], dtype=np.complex128), params)[0])
+    return _scalar_call(eval_batch, z, params)
 
 
 def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
@@ -460,24 +419,22 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     Internally materializes the three work arrays A = tau_m*z, B = exp(i*A),
     C = A*A once each; B is the only transcendental pass over the data.
     Output order matches input order and is bitwise identical to a scalar
-    sweep regardless of ``workers`` or internal chunk boundaries.
+    :func:`eval_w` sweep (a 1-element batch each) regardless of ``workers``
+    or internal chunk boundaries.
 
     Raises
     ------
     DomainError
-        Non-finite element (reported with its index).
+        Non-finite element, or one with a component of size >=
+        sqrt(DBL_MAX)/(2*tau_m) (reported with its index).
     ReflectionOverflowError
         exp(-z^2) overflow for a lower half-plane element (with its index).
     """
     params = _resolve_params(params)
-    z = _as_complex_array(zs)
-    flat = z.ravel()
-    if flat.size == 0:
-        return np.empty_like(z)
-    _check_finite(flat)
+    flat, shape = _validated(zs, params)
     neg = flat.imag < 0.0
     if not neg.any():
-        return _kernel_chunked(flat, params, workers).reshape(z.shape)
+        return _kernel_chunked(flat, params, workers).reshape(shape)
     zu = np.where(neg, -flat, flat)
     w = _kernel_chunked(zu, params, workers)
     idx = np.flatnonzero(neg)
@@ -491,7 +448,7 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
             f"exp(-z^2) overflows binary64 at index {i} (z = {flat[i]!r}); "
             "lower half-plane value not representable", index=i)
     w[idx] = 2.0 * E - w[idx]
-    return w.reshape(z.shape)
+    return w.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +456,9 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def voigt_function(x: float, y: float, params=None) -> float:
-    """Voigt function K(x, y) = Re w(x + i*y) for y >= 0."""
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"voigt_function arguments must be finite, got {(x, y)!r}")
-    if y < 0.0:
-        raise DomainError(f"voigt_function requires y >= 0, got y = {y!r}")
-    params = _resolve_params(params)
-    return float(_w_upper_kernel(np.array([complex(x, y)]), params)[0].real)
+    """Voigt function K(x, y) = Re w(x + i*y) for y >= 0; errors as
+    :func:`eval_eq3`."""
+    return _scalar_call(eval_eq3_batch, complex(float(x), float(y)), params).real
 
 
 def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
+from .core import _scalar_call
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
@@ -101,15 +103,10 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
     Raises
     ------
     DomainError
-        If Im z <= 0 (the method is derived for the open upper half-plane).
+        If z is non-finite or Im z <= 0 (the method is derived for the open
+        upper half-plane); ``index`` is 0.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must be finite, got {z!r}")
-    if z.imag <= 0.0:
-        raise DomainError(f"weideman_w requires Im z > 0, got {z!r}")
-    coeffs = coeffs if coeffs is not None else _default_coeffs()
-    return complex(_weideman_kernel(np.array([z], dtype=np.complex128), coeffs)[0])
+    return _scalar_call(weideman_batch, z, coeffs)
 
 
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
@@ -129,14 +126,9 @@ def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
     return _weideman_kernel(flat, coeffs).reshape(z.shape)
 
 
-_DEFAULT_COEFFS = None
-
-
+@lru_cache(maxsize=None)
 def _default_coeffs() -> WeidemanCoeffs:
-    global _DEFAULT_COEFFS
-    if _DEFAULT_COEFFS is None:
-        _DEFAULT_COEFFS = weideman_coefficients(DEFAULT_DEGREE)
-    return _DEFAULT_COEFFS
+    return weideman_coefficients(DEFAULT_DEGREE)
 
 
 def _weideman_kernel(z: np.ndarray, coeffs: WeidemanCoeffs) -> np.ndarray:

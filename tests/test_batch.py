@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,15 +58,14 @@ def test_chunking_and_workers_do_not_change_bits():
 
 
 def test_guarded_elements_same_bits_in_any_company():
-    # an element on a removable singularity evaluates identically whether its
-    # neighbours are guarded or not
-    import math
-    singular = complex(3 * math.pi / 12, 0.0)
-    alone = vk.eval_batch(np.array([singular]))[0]
-    mixed = vk.eval_batch(np.array([1 + 1j, singular, 2 + 3j]))[1]
-    all_axis = vk.eval_batch(np.array([0.1 + 0j, singular, 5.5 + 0j]))[1]
-    assert mixed == alone
-    assert all_axis == alone
+    # a near-axis element (on a removable singularity or not) evaluates
+    # identically alone, among unguarded points and among guarded ones
+    for point in (complex(3 * math.pi / 12, 0.0), 0.1 + 0j, -7.3 + 0j):
+        alone = vk.eval_batch(np.array([point]))[:1]
+        mixed = vk.eval_batch(np.array([1 + 1j, point, 2 + 3j]))[1:2]
+        all_axis = vk.eval_batch(np.array([0.1 + 0j, point, 5.5 + 0j]))[1:2]
+        assert bitwise_equal(mixed, alone), point
+        assert bitwise_equal(all_axis, alone), point
 
 
 def test_domain_error_carries_index():
@@ -96,8 +98,57 @@ def test_eq1_batch_matches_scalars(high):
 
 
 def test_eq1_batch_reports_singular_index():
-    import math
     zs = np.array([1 + 1j, complex(5 * math.pi / 12, 0.0)])
     with pytest.raises(DomainError) as err:
         vk.eval_eq1_batch(zs)
     assert err.value.index == 1
+
+
+# (batch, scalar, a finite point outside the function's half-plane or None)
+VALIDATED = {
+    "eval_batch": (vk.eval_batch, vk.eval_w, None),
+    "eval_eq3_batch": (vk.eval_eq3_batch, vk.eval_eq3, 1 - 1j),
+    "voigt_function": (vk.eval_eq3_batch,
+                       lambda z: vk.voigt_function(z.real, z.imag), 1 - 1j),
+    "eval_eq1_batch": (vk.eval_eq1_batch, vk.eval_eq1, 1 - 0.5j),
+    "weideman_batch": (vk.weideman_batch, vk.weideman_w, 2 + 0j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validation_contract(name):
+    batch, scalar, outside = VALIDATED[name]
+    bads = [complex(math.nan, 1.0), complex(1.0, math.inf), complex(-math.inf, 0.5)]
+    if outside is not None:
+        bads.append(outside)
+    for bad in bads:
+        with pytest.raises(DomainError) as err:
+            scalar(bad)
+        assert err.value.index == 0, bad
+        with pytest.raises(DomainError) as err:
+            batch(np.array([1 + 1j, 2 + 0.5j, bad, bad]))
+        assert err.value.index == 2, bad
+    # a non-finite element is reported before an earlier out-of-half-plane one
+    lower = 1 - 1j if outside is None else outside
+    with pytest.raises(DomainError) as err:
+        batch(np.array([1 + 1j, lower, complex(math.nan, 1.0)]))
+    assert err.value.index == 2
+
+
+@pytest.mark.parametrize("tau_m,preset,gate", [(12.0, vk.Preset.HIGH, 1e-10),
+                                               (9.0, vk.Preset.FAST, 1e-5)])
+def test_domain_bound_at_large_z(tau_m, preset, gate):
+    # inside |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m) values stay in gate;
+    # from the bound on (tau_m*z)^2 leaves binary64 range: a typed error
+    from scipy.special import wofz
+    bound = math.sqrt(sys.float_info.max) / (2.0 * tau_m)
+    r = np.nextafter(bound, 0.0)
+    inside = np.array([r + 0j, r * 1j, r + r * 1j, -r + r * 1j, r + 1j, 1 + r * 1j,
+                       r - 1j, -r - 0.5j, 1e152 + 3e152j])
+    w = vk.eval_batch(inside, preset.params)
+    ref = wofz(inside)
+    assert (np.abs(w - ref) / np.abs(ref) <= gate).all()
+    for z in (bound * 1j, complex(-bound, 1.0), 1e155j):
+        with pytest.raises(DomainError) as err:
+            vk.eval_batch(np.array([1 + 1j, 2 + 2j, z]), preset.params)
+        assert err.value.index == 2, z
