@@ -1,11 +1,15 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import voigtkit as vk
 from voigtkit import DomainError, ReflectionOverflowError
+from voigtkit import core
+
+BLOCK = core._BLOCK
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -55,6 +59,63 @@ def test_chunking_and_workers_do_not_change_bits():
         assert bitwise_equal(vk.eval_batch(zs, workers=workers), whole)
     parts = np.concatenate([vk.eval_batch(zs[:11_111]), vk.eval_batch(zs[11_111:])])
     assert bitwise_equal(parts, whole)
+
+
+def test_block_boundaries_same_bits():
+    # mixed-sign points with lower-half, on-axis k*pi/tau and near-axis
+    # points at the block edges
+    rng = np.random.default_rng(31)
+    z = rng.uniform(-10, 10, 3 * BLOCK + 7) + 1j * rng.uniform(-4, 10, 3 * BLOCK + 7)
+    step = math.pi / 12.0
+    special = {BLOCK - 1: 3 * step + 0j, BLOCK: -5 * step + 0j,
+               2 * BLOCK - 1: 1 - 2j, 2 * BLOCK: 7 * step + 1e-9j,
+               3 * BLOCK - 1: 0.1 + 0j, 3 * BLOCK: -2 * step - 1e-12j,
+               3 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j}
+    for i, v in special.items():
+        z[i] = v
+    checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
+                                          for e in (BLOCK, 2 * BLOCK, 3 * BLOCK))))
+    scalar = np.array([vk.eval_w(z[i]) for i in checked])
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+        whole = vk.eval_batch(z[:n])
+        idx = [i for i in checked if i < n]
+        assert bitwise_equal(whole[idx], scalar[:len(idx)]), n
+        for workers in (2, 3):
+            assert bitwise_equal(vk.eval_batch(z[:n], workers=workers), whole), (n, workers)
+
+
+def test_single_block_builds_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool built for a single block")
+    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
+    z = vk.generate_inputs(vk.InputSpec(size=BLOCK, seed=2))
+    assert vk.eval_batch(z, workers=4).shape == (BLOCK,)
+
+
+def test_first_error_across_blocks_is_lowest_index():
+    z = vk.generate_inputs(vk.InputSpec(size=3 * BLOCK + 7, seed=8))
+    lo, hi = BLOCK + 5, 2 * BLOCK + 3
+    for bad, err_type in ((complex(math.nan, 1.0), DomainError),
+                          (-40j, ReflectionOverflowError)):
+        zs = z.copy()
+        zs[lo] = zs[hi] = bad
+        with pytest.raises(err_type) as err:
+            vk.eval_batch(zs, workers=2)
+        assert err.value.index == lo, bad
+
+
+@pytest.mark.parametrize("y_min", [0.1, -5.0], ids=["upper", "mixed"])
+def test_peak_memory_is_output_plus_blocks(y_min):
+    rng = np.random.default_rng(12)
+    n = 1 << 20
+    z = rng.uniform(-10, 10, n) + 1j * rng.uniform(y_min, 5.0, n)
+    tracemalloc.start()
+    try:
+        out = vk.eval_batch(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
 
 
 def test_guarded_elements_same_bits_in_any_company():

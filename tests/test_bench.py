@@ -144,7 +144,7 @@ def test_exp_fraction_fast_at_least_high():
 
 
 def test_throughput_no_memory_cliffs_at_scale():
-    # no superlinear memory cliffs in the three-array scheme: throughput may
+    # no superlinear memory cliffs in blocked evaluation: throughput may
     # degrade gently from 2^20 to 2^24 but never collapses at a size step.
     # Smaller (cache-resident) sizes are excluded: they measure the memory
     # hierarchy, not the algorithm, and swing 2x run-to-run on this host.

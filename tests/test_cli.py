@@ -189,6 +189,15 @@ def test_bench_cli_emits_parseable_csv(capsys):
         assert r.throughput == r.size / r.median_seconds
 
 
+def test_bench_cli_fast_preset_guard_uses_fast_gate(capsys):
+    # FAST deviates from the oracle by ~2e-9, inside its 1e-5 gate
+    code, out, _ = run(capsys, "bench", "--impls", "eq3", "--preset", "fast",
+                       "--size", "65536", "--repeats", "3", "--no-exp-fraction",
+                       "--output", "-")
+    assert code == 0
+    assert [r.impl for r in bench_mod.parse_records_csv(out)] == ["eq3"]
+
+
 def test_bench_cli_bogus_impl(capsys):
     code, _, err = run(capsys, "bench", "--impls", "nope", "--size", "1024",
                        "--repeats", "3")
