@@ -14,10 +14,13 @@ Two algebraically equivalent forms are provided:
   refuses inputs near its removable 0/0 singularities.
 * :func:`eval_eq3` -- the production form.  Collapsing the +n/-n term pairs
   leaves a single complex exponential per point plus a short sum of rational
-  terms; the removable singularities at tau_m*z -> 0 and tau_m*z -> +-n*pi
-  are evaluated by guarded truncated-series limits, so every input in the
-  closed upper half-plane with |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m)
-  yields a finite value; inputs outside that box raise DomainError.
+  terms.  Every point runs the same loop; term n is overwritten by its
+  truncated-series limit only at the points within GUARD_RADIUS of the
+  removable singularity tau_m*z = +-n*pi (likewise i*(1 - B)/A near 0), so
+  every input in the closed upper half-plane with |Re z|, |Im z| <
+  sqrt(DBL_MAX)/(2*tau_m) yields a finite value; inputs outside that box
+  raise DomainError.  One locator, ``_singular``, finds these points for
+  both forms.
 
 Batch evaluation of the production form runs block by block: each block
 of ``_BLOCK`` consecutive points goes through the whole per-point path
@@ -244,12 +247,33 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # batch == scalar-sweep contract.  Non-aliased multiplies, divisions and
 # additions are position-stable.
 
-def _w_upper(A, B, params, guard):
-    """Rational-term loop of the single-exponential form.  ``guard`` replaces
-    each term whose denominator is inside the guard radius by its series
-    limit (without it such denominators may vanish); the operation order is
-    the same, so other elements get the same bits.  A and B are preserved."""
+def _exp_pass(A, out=None):
+    """B = exp(i*A), the one transcendental pass of the production form."""
+    return np.exp(1j * A, out=out)
+
+
+def _singular(A, n_max):
+    """Elements of A within GUARD_RADIUS of s*k*pi for 0 <= k <= n_max:
+    their indices (ascending), k and sign s = +-1.0."""
+    idx = np.flatnonzero(np.abs(A.imag) < GUARD_RADIUS)   # |A - s*k*pi| >= |Im A|
+    if not idx.size:
+        return idx, idx, idx
+    Ac = A[idx]
+    k = np.rint(np.abs(Ac.real) / _PI)                    # nearest k*pi
+    s = np.where(Ac.real >= 0.0, 1.0, -1.0)
+    hit = (k <= n_max) & (np.abs(Ac - s * k * _PI) < GUARD_RADIUS)
+    return idx[hit], k[hit], s[hit]
+
+
+def _w_upper(z, params):
+    """Single-exponential form over the closed upper half-plane (1-D input).
+    A sparse per-term patch: term n is replaced by its series limit only at
+    the points ``_singular`` places near +-n*pi, where its denominator may
+    vanish, and i*(1 - B)/A only at those near 0."""
     a = params.coefficients
+    A = z * params.tau_m
+    B = _exp_pass(A)
+    hit, k, sign = _singular(A, params.n_terms)
     D = A * A                      # becomes n^2 pi^2 - A^2, updated in place
     np.negative(D, out=D)
     D += _PI2
@@ -263,48 +287,26 @@ def _w_upper(A, B, params, guard):
             np.multiply(B, -an if n & 1 else an, out=T)   # a_n * (-1)^n * B
             T -= an
             T /= D
-            if guard:
+            if hit.size:
                 npi = n * _PI
                 for s in (1.0, -1.0):
-                    u = A - s * npi
-                    m = np.abs(u) < GUARD_RADIUS
-                    if m.any():
-                        um = u[m]
+                    j = hit[(k == n) & (sign == s)]
+                    if j.size:
+                        u = A[j] - s * npi
                         # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
                         #   == -s*a_n*(e^{iu} - 1)/u / (2 n pi + s u),  u = A - s n pi
-                        T[m] = (-s * an * 1j) * _series_ratio_p4(1j * um) / (2.0 * npi + s * um)
+                        T[j] = (-s * an * 1j) * _series_ratio_p4(1j * u) / (2.0 * npi + s * u)
             acc += T
         np.multiply(acc, A, out=T)                        # A * sum
         np.multiply(T, 1j * (params.tau_m / _SQRT_PI), out=acc)
         np.subtract(1.0, B, out=T)                        # i*(1 - B)/A
         T /= A
         np.multiply(T, 1j, out=D)
-        if guard:
-            m0 = np.abs(A) < GUARD_RADIUS
-            if m0.any():
-                D[m0] = _series_ratio_p4(1j * A[m0])      # i*(1-e^{iA})/A limit
+        if hit.size:
+            j = hit[k == 0]
+            D[j] = _series_ratio_p4(1j * A[j])            # i*(1-e^{iA})/A limit
         acc += D
     return acc
-
-
-def _exp_pass(A, out=None):
-    """B = exp(i*A), the one transcendental pass of the production form."""
-    return np.exp(1j * A, out=out)
-
-
-def _w_upper_kernel(z: np.ndarray, params: ApproxParams) -> np.ndarray:
-    """Single-exponential form over the closed upper half-plane (1-D input)."""
-    A = z * params.tau_m
-    B = _exp_pass(A)
-    # |u| >= |Im u| = |Im A|: guards can only trigger where Im A is tiny.
-    near = np.abs(A.imag) < GUARD_RADIUS
-    if near.all():
-        return _w_upper(A, B, params, guard=True)
-    w = _w_upper(A, B, params, guard=False)
-    if near.any():
-        idx = np.flatnonzero(near)
-        w[idx] = _w_upper(A[idx], B[idx], params, guard=True)
-    return w
 
 
 def _blocked(n: int, run, workers: int = 1) -> None:
@@ -334,10 +336,7 @@ def _evaluate(z: np.ndarray, params: ApproxParams, workers: int) -> np.ndarray:
     def run(lo, hi):
         zb = z[lo:hi]
         neg = zb.imag < 0.0
-        if not neg.any():
-            out[lo:hi] = _w_upper_kernel(zb, params)
-            return
-        w = _w_upper_kernel(np.where(neg, -zb, zb), params)
+        w = _w_upper(np.where(neg, -zb, zb), params)
         idx = np.flatnonzero(neg)
         zn = zb[idx]
         with np.errstate(over="ignore", under="ignore"):
@@ -402,40 +401,33 @@ def eval_eq1(z, params=None) -> complex:
 
 
 def eval_eq1_batch(zs, params=None) -> np.ndarray:
-    """Vectorized :func:`eval_eq1`."""
+    """Vectorized :func:`eval_eq1`, evaluated block by block."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, params, "eval_eq1")
-    return _eq1_kernel(flat, params).reshape(shape)
+    tau, a = params.tau_m, params.coefficients
+    out = np.empty_like(flat)
 
+    def run(lo, hi):
+        z = flat[lo:hi]
+        A = z * tau
+        hit, k, _ = _singular(A, params.n_terms)
+        if hit.size:
+            i = lo + int(hit[0])
+            raise DomainError(
+                f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
+                f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
+        S = np.zeros_like(A)
+        for n in range(params.n_terms + 1):
+            an_tau = a[n] * tau
+            npi = n * _PI
+            E_plus = np.exp(1j * (npi + A))
+            E_minus = np.exp(1j * (A - npi))
+            S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
+        S -= a[0] * (1.0 - np.exp(1j * A)) / z
+        np.multiply(S, 1j / (2.0 * _SQRT_PI), out=out[lo:hi])
 
-def _eq1_reject_singular(A: np.ndarray, n_terms: int) -> None:
-    idx = np.flatnonzero(np.abs(A.imag) < GUARD_RADIUS)
-    Ac = A[idx]
-    # nearest k*pi, k = 0 being the origin
-    k = np.rint(np.abs(Ac.real) / _PI)
-    s = np.where(Ac.real >= 0.0, 1.0, -1.0)
-    hit = (k <= n_terms) & (np.abs(Ac - s * k * _PI) < GUARD_RADIUS)
-    if hit.any():
-        j = int(np.argmax(hit))
-        raise DomainError(
-            f"eval_eq1 denominator below guard radius at index {idx[j]}: tau_m*z "
-            f"within {GUARD_RADIUS} of k*pi, k = {int(k[j])}", index=int(idx[j]))
-
-
-def _eq1_kernel(z: np.ndarray, params: ApproxParams) -> np.ndarray:
-    tau = params.tau_m
-    a = params.coefficients
-    A = z * tau
-    _eq1_reject_singular(A, params.n_terms)
-    S = np.zeros_like(A)
-    for n in range(params.n_terms + 1):
-        an_tau = a[n] * tau
-        npi = n * _PI
-        E_plus = np.exp(1j * (npi + A))
-        E_minus = np.exp(1j * (A - npi))
-        S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
-    S -= a[0] * (1.0 - np.exp(1j * A)) / z
-    return S * (1j / (2.0 * _SQRT_PI))
+    _blocked(flat.size, run)
+    return out.reshape(shape)
 
 
 def eval_w(z, params=None) -> complex:

@@ -6,7 +6,7 @@ asserted; wall-clock expectations are printed for the record but not
 asserted, since absolute timings belong to the machine, not the library.
 
 Set ``VOIGTKIT_BENCH_LARGE=1`` to extend criterion 4 to 2^25 elements
-(needs ~5 GB of free memory).
+(needs ~1.2 GB of free memory).
 """
 
 import math

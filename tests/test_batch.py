@@ -102,16 +102,25 @@ def test_first_error_across_blocks_is_lowest_index():
         with pytest.raises(err_type) as err:
             vk.eval_batch(zs, workers=2)
         assert err.value.index == lo, bad
+    # eq1 rejects its singular points block by block, with the input's index
+    zs = z.copy()
+    zs[lo], zs[hi] = complex(4 * math.pi / 12, 0.0), 0j
+    with pytest.raises(DomainError, match="denominator below guard radius") as err:
+        vk.eval_eq1_batch(zs)
+    assert err.value.index == lo
+    assert f"at index {lo}:" in str(err.value) and str(err.value).endswith("k = 4")
 
 
-@pytest.mark.parametrize("y_min", [0.1, -5.0], ids=["upper", "mixed"])
-def test_peak_memory_is_output_plus_blocks(y_min):
+@pytest.mark.parametrize("func,y_min", [(vk.eval_batch, 0.1), (vk.eval_batch, -5.0),
+                                        (vk.eval_eq1_batch, 0.1)],
+                         ids=["upper", "mixed", "eq1"])
+def test_peak_memory_is_output_plus_blocks(func, y_min):
     rng = np.random.default_rng(12)
     n = 1 << 20
     z = rng.uniform(-10, 10, n) + 1j * rng.uniform(y_min, 5.0, n)
     tracemalloc.start()
     try:
-        out = vk.eval_batch(z)
+        out = func(z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -119,14 +128,23 @@ def test_peak_memory_is_output_plus_blocks(y_min):
 
 
 def test_guarded_elements_same_bits_in_any_company():
-    # a near-axis element (on a removable singularity or not) evaluates
-    # identically alone, among unguarded points and among guarded ones
-    for point in (complex(3 * math.pi / 12, 0.0), 0.1 + 0j, -7.3 + 0j):
+    # a near-axis element (on or near a removable singularity, or not)
+    # evaluates identically alone, among unguarded points, among near-axis
+    # ones and among the singular points of other terms and signs
+    r = 0.5 * vk.GUARD_RADIUS
+    singular = [complex(s * (k * math.pi + r) / 12, y)
+                for k in (0, 1, 23) for s in (1, -1) for y in (0.0, r / 24)]
+    points = singular + [complex(3 * math.pi / 12, 0.0), 0.1 + 0j, -7.3 + 0j,
+                         complex((3 * math.pi + 1.01 * vk.GUARD_RADIUS) / 12, 0.0),
+                         complex(24 * math.pi / 12, 0.0)]
+    together = vk.eval_batch(np.array(points))
+    for i, point in enumerate(points):
         alone = vk.eval_batch(np.array([point]))[:1]
         mixed = vk.eval_batch(np.array([1 + 1j, point, 2 + 3j]))[1:2]
         all_axis = vk.eval_batch(np.array([0.1 + 0j, point, 5.5 + 0j]))[1:2]
         assert bitwise_equal(mixed, alone), point
         assert bitwise_equal(all_axis, alone), point
+        assert bitwise_equal(together[i:i + 1], alone), point
 
 
 def test_domain_error_carries_index():
