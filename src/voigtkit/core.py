@@ -11,31 +11,35 @@ Two algebraically equivalent forms are provided:
 * :func:`eval_eq1` -- the raw two-sided series, one exponential per term.
   It is kept unguarded on purpose: it serves as the reference side of the
   equivalence property and as the slow baseline in benchmarks, and it
-  refuses inputs near its removable 0/0 singularities.
+  refuses inputs within GUARD_RADIUS of its removable 0/0 singularities.
 * :func:`eval_eq3` -- the production form.  Collapsing the +n/-n term pairs
-  leaves a single complex exponential per point plus a short sum of rational
-  terms.  Every point runs the same loop; term n is overwritten by its
-  truncated-series limit only at the points within GUARD_RADIUS of the
-  removable singularity tau_m*z = +-n*pi (likewise i*(1 - B)/A near 0), so
-  every input in the closed upper half-plane with |Re z|, |Im z| <
-  sqrt(DBL_MAX)/(2*tau_m) yields a finite value; inputs outside that box
-  raise DomainError.  One locator, ``_singular``, finds these points for
-  both forms.
+  leaves a single exponential B = exp(i*tau_m*z) per point plus a short sum
+  of rational terms, evaluated in float64 real arithmetic: B from one
+  tangent and one expm1 pass, and one real division per term for the
+  shared denominator n^2 pi^2 - (tau_m*z)^2.  Every point runs the same
+  loop; term n is replaced by its truncated-series limit only at the points
+  within _PATCH_RADIUS of the removable singularity tau_m*z = +-n*pi
+  (likewise i*(1 - B)/A near 0), so every input in the closed upper
+  half-plane with |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m) yields a finite
+  value; inputs outside that box raise DomainError.  One locator,
+  ``_singular``, finds these points for both forms.
 
 Batch evaluation of the production form runs block by block: each block
 of ``_BLOCK`` consecutive points goes through the whole per-point path
-(reflection of lower half-plane points included), so the working arrays
-stay cache-sized and peak memory is the output plus a few blocks.  Each
-block makes one transcendental pass, B = exp(i*tau_m*z), plus exp(-z^2)
-for its lower half-plane points.  All evaluators are elementwise, so batch
-output is bitwise identical to a scalar sweep (a 1-element batch) and
-independent of blocks and threads.
+(reflection of lower half-plane points included) in a scratch buffer that
+each thread reuses from block to block, so the working arrays stay
+cache-sized and peak memory is the output plus a few blocks.  Each block
+makes one transcendental pass for B, plus exp(-z^2) for its lower
+half-plane points.  All evaluators are elementwise, so batch output is
+bitwise identical to a scalar sweep (a 1-element batch) and independent of
+blocks and threads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,14 +71,25 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_LN2 = math.sqrt(math.log(2.0))
 _SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
 
-#: Guard radius: inside |tau_m*z| < GUARD_RADIUS or |tau_m*z -+ n*pi| < GUARD_RADIUS
-#: the affected 0/0 term of the production form is replaced by a 4th-order
-#: truncated series of the ratio about the singular point.
+#: Guard radius: eval_eq1 rejects tau_m*z with |tau_m*z| < GUARD_RADIUS or
+#: |tau_m*z -+ n*pi| < GUARD_RADIUS, where a term of the raw series is 0/0;
+#: the production form replaces the affected term there (and out to
+#: _PATCH_RADIUS) by a 4th-order truncated series of the ratio about the
+#: singular point.
 GUARD_RADIUS = 1e-6
 
-#: Points per block of batch evaluation: a block's complex work arrays fit
-#: in cache (blocks of 4096 to 16384 points measured equally fast).
-_BLOCK = 16384
+#: Radius of the production form's patch: the truncated series is exact to
+#: |d|^5/720 <= 1.4e-18 inside it (d = tau_m*z -+ n*pi), while just outside
+#: it the plain terms lose about eps/|d| to cancellation (6e-13 against
+#: scipy.special.wofz at |d| = 1e-3).
+_PATCH_RADIUS = 1e-3
+
+#: Points per block of batch evaluation.  A block's scratch (half a term
+#: table and 17 rows: 2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the
+#: block doubles the per-point share of its ~100 numpy calls: at 2^20
+#: points (2-core Xeon, numpy 2.4) blocks of 8192 measured fastest, 16384 as
+#: fast with twice the scratch, 4096 17% and 2048 34% slower.
+_BLOCK = 8192
 
 #: Below doppler_hwhm < LORENTZ_FALLBACK_RATIO * lorentz_hwhm the profile
 #: degenerates to a closed-form Lorentzian (the dimensionless y would overflow).
@@ -248,65 +263,188 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # additions are position-stable.
 
 def _exp_pass(A, out=None):
-    """B = exp(i*A), the one transcendental pass of the production form."""
-    return np.exp(1j * A, out=out)
+    """B = exp(i*A) for Im A >= 0, the one transcendental pass of the
+    production form: with t = tan(Re A/2) and e = exp(-Im A),
+
+        B = e*((1 - t^2) + 2it)/(1 + t^2),
+
+    from one tangent and one expm1 pass.  Returns B (in ``out`` if given)
+    and Re(1 - B) = 2e*t^2/(1 + t^2) - expm1(-Im A), a sum of two
+    non-negative parts, so 1 - B keeps its relative accuracy near A = 0;
+    Im(1 - B) = -Im B."""
+    if out is None:
+        out = np.empty_like(A)
+    h, t, em1, g = np.empty((4, A.size))
+    np.multiply(A.real, 0.5, out=t)
+    np.tan(t, out=t)
+    np.negative(A.imag, out=em1)
+    np.expm1(em1, out=em1)                       # e - 1
+    np.square(t, out=h)
+    np.add(h, 1.0, out=g)
+    np.add(em1, 1.0, out=out.real)               # e
+    np.divide(out.real, g, out=g)
+    g += g                                       # 2e/(1 + t^2)
+    np.multiply(g, t, out=out.imag)
+    h *= g                                       # 2e*t^2/(1 + t^2)
+    out.real -= h
+    h -= em1
+    return out, h
 
 
-def _singular(A, n_max):
-    """Elements of A within GUARD_RADIUS of s*k*pi for 0 <= k <= n_max:
+def _singular(A, n_max, radius=GUARD_RADIUS):
+    """Elements of A within ``radius`` of s*k*pi for 0 <= k <= n_max:
     their indices (ascending), k and sign s = +-1.0."""
-    idx = np.flatnonzero(np.abs(A.imag) < GUARD_RADIUS)   # |A - s*k*pi| >= |Im A|
+    idx = np.flatnonzero(np.abs(A.imag) < radius)         # |A - s*k*pi| >= |Im A|
     if not idx.size:
         return idx, idx, idx
     Ac = A[idx]
     k = np.rint(np.abs(Ac.real) / _PI)                    # nearest k*pi
     s = np.where(Ac.real >= 0.0, 1.0, -1.0)
-    hit = (k <= n_max) & (np.abs(Ac - s * k * _PI) < GUARD_RADIUS)
+    hit = (k <= n_max) & (np.abs(Ac - s * k * _PI) < radius)
     return idx[hit], k[hit], s[hit]
 
 
-def _w_upper(z, params):
-    """Single-exponential form over the closed upper half-plane (1-D input).
-    A sparse per-term patch: term n is replaced by its series limit only at
-    the points ``_singular`` places near +-n*pi, where its denominator may
-    vanish, and i*(1 - B)/A only at those near 0."""
+#: Scratch rows of ``_w_upper`` besides its term table; two rows hold one
+#: complex array.
+_ROWS = 17
+
+
+@lru_cache(maxsize=None)
+def _parity_terms(n_terms: int):
+    """The odd and the even n of 1..n_terms, each with a column of n^2 pi^2."""
+    out = []
+    for first in (1, 2):
+        n = np.arange(first, n_terms + 1, 2)
+        col = ((n * _PI) ** 2)[:, None]
+        n.setflags(write=False)
+        col.setflags(write=False)
+        out.append((n, col))
+    return tuple(out)
+
+
+def _work_size(n_terms: int, m: int) -> int:
+    """float64 elements of ``_w_upper``'s scratch for blocks of m points."""
+    return (2 * ((n_terms + 1) // 2) + _ROWS) * m
+
+
+def _tree_sum(T, count):
+    """Sum rows 0..count-1 of T's middle axis into row 0 by halving: each
+    step adds whole slices elementwise, so a point's sum has the same bits
+    whatever the number of points."""
+    while count > 1:
+        h = count // 2
+        T[:, :h] += T[:, count - h:count]
+        count -= h
+
+
+def _w_upper(z, params, out, work):
+    """Single-exponential form over the closed upper half-plane (1-D input)
+    in float64 real arithmetic, written to ``out``; ``work`` is a flat
+    float64 scratch of at least ``_work_size(n_terms, z.size)`` elements.
+    With A = tau_m*z, C = A^2 and B = exp(iA),
+
+        w = i*(1 - B)/A + i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even),
+        S_even = sum a_n/(n^2 pi^2 - C),  S_alt = sum (-1)^n a_n/(n^2 pi^2 - C),
+
+    and a_n/(n^2 pi^2 - C) = a_n*(d_n + i Im C)/(d_n^2 + (Im C)^2) with
+    d_n = n^2 pi^2 - Re C: one real division per term.  The odd and the
+    even terms each fill a (terms x points) table, scaled per point by
+    s = max(1, |C|) so that the squares stay in range.  A sparse patch: at
+    the points ``_singular`` places within _PATCH_RADIUS of +-n*pi, term n
+    gets zero weight in the sums and its series limit is added to
+    B*S_alt - S_even; within _PATCH_RADIUS of 0, i*(1 - B)/A is replaced by
+    its limit."""
     a = params.coefficients
-    A = z * params.tau_m
-    B = _exp_pass(A)
-    hit, k, sign = _singular(A, params.n_terms)
-    D = A * A                      # becomes n^2 pi^2 - A^2, updated in place
-    np.negative(D, out=D)
-    D += _PI2
-    acc = np.zeros_like(A)
-    T = np.empty_like(A)
+    nt = params.n_terms
+    m = z.size
+    half = (nt + 1) // 2
+    T = work[:2 * half * m].reshape(2, half, m)    # T[0]: Re weights, T[1]: Im weights
+    rows = work[2 * half * m:_work_size(nt, m)].reshape(_ROWS, m)
+    A = rows[0:2].reshape(-1).view(np.complex128)
+    B = rows[2:4].reshape(-1).view(np.complex128)
+    P = rows[4:8].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
+    m2, cr, ci, inv, sq, r1, r2, u, v = rows[8:]
+    np.multiply(z, params.tau_m, out=A)
+    _, pr = _exp_pass(A, out=B)                    # pr = Re(1 - B)
+    hit, k, sign = _singular(A, nt, _PATCH_RADIUS)
+    z0 = j = hit                                   # hits near 0, near +-kk*pi
+    if hit.size:
+        on = k >= 1
+        z0, j, kk, sg = hit[~on], hit[on], k[on].astype(np.intp), sign[on]
+    ar, ai = A.real, A.imag
+    br, bi = B.real, B.imag
+    np.square(ar, out=cr)
+    np.square(ai, out=sq)
+    np.add(cr, sq, out=m2)                      # |A|^2
+    cr -= sq                                    # Re C
+    np.multiply(ar, ai, out=ci)
+    ci += ci                                    # Im C
+    np.maximum(m2, 1.0, out=inv)                # s = max(1, |C|)
+    np.divide(1.0, inv, out=inv)                # 1/s
+    ci *= inv
+    np.square(ci, out=sq)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(1, params.n_terms + 1):
-            if n > 1:
-                D += (2 * n - 1) * _PI2
-            an = a[n]
-            np.multiply(B, -an if n & 1 else an, out=T)   # a_n * (-1)^n * B
-            T -= an
-            T /= D
-            if hit.size:
-                npi = n * _PI
-                for s in (1.0, -1.0):
-                    j = hit[(k == n) & (sign == s)]
-                    if j.size:
-                        u = A[j] - s * npi
-                        # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
-                        #   == -s*a_n*(e^{iu} - 1)/u / (2 n pi + s u),  u = A - s n pi
-                        T[j] = (-s * an * 1j) * _series_ratio_p4(1j * u) / (2.0 * npi + s * u)
-            acc += T
-        np.multiply(acc, A, out=T)                        # A * sum
-        np.multiply(T, 1j * (params.tau_m / _SQRT_PI), out=acc)
-        np.subtract(1.0, B, out=T)                        # i*(1 - B)/A
-        T /= A
-        np.multiply(T, 1j, out=D)
-        if hit.size:
-            j = hit[k == 0]
-            D[j] = _series_ratio_p4(1j * A[j])            # i*(1-e^{iA})/A limit
-        acc += D
-    return acc
+        for p, (n, npi2) in enumerate(_parity_terms(nt)):
+            Tp = T[:, :n.size]
+            np.subtract(npi2, cr, out=Tp[0])
+            Tp[0] *= inv                                    # d_n/s
+            np.square(Tp[0], out=Tp[1])
+            Tp[1] += sq
+            np.divide(a[n][:, None], Tp[1], out=Tp[1])      # a_n*s^2/|.|^2
+            Tp[0] *= Tp[1]
+            if j.size:
+                mine = (kk & 1) != p
+                Tp[:, (kk[mine] - 1) // 2, j[mine]] = 0.0
+            _tree_sum(Tp, n.size)
+            P[p] = Tp[:, 0] if n.size else 0.0
+        (ov, o_i), (ev, e_i) = P
+        np.subtract(ev, ov, out=r1)             # s*S_alt = r1 + i*r2
+        np.subtract(e_i, o_i, out=r2)
+        r2 *= ci
+        ev += ov                                # s*S_even = ev + i*e_i
+        e_i += o_i
+        e_i *= ci
+        np.multiply(br, r1, out=u)              # s*(B*S_alt - S_even) = u + i*v
+        np.multiply(bi, r2, out=sq)
+        u -= sq
+        u -= ev
+        np.multiply(br, r2, out=v)
+        np.multiply(bi, r1, out=sq)
+        v += sq
+        v -= e_i
+        if j.size:
+            npi = kk * _PI
+            d = A[j] - sg * npi
+            # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2), times s,
+            #   == -sg*a_n*(e^{id} - 1)/d / (2 n pi + sg d) * s,  d = A - sg n pi
+            lim = ((-sg * a[kk] * 1j) * _series_ratio_p4(1j * d)
+                   / ((2.0 * npi + sg * d) * inv[j]))
+            u[j] += lim.real
+            v[j] += lim.imag
+        inv *= -params.tau_m / _SQRT_PI
+        np.multiply(ai, v, out=out.imag)        # i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even)
+        np.multiply(ar, u, out=sq)
+        out.imag -= sq
+        out.imag *= inv
+        np.multiply(ar, v, out=out.real)
+        np.multiply(ai, u, out=sq)
+        out.real += sq
+        out.real *= inv
+        np.multiply(pr, ai, out=u)              # i*(1 - B)/A = i*(1 - B)*conj(A)/|A|^2
+        np.multiply(bi, ar, out=sq)
+        u += sq
+        u /= m2
+        np.multiply(pr, ar, out=v)
+        np.multiply(bi, ai, out=sq)
+        v -= sq
+        v /= m2
+        if z0.size:
+            f0 = _series_ratio_p4(1j * A[z0])                # i*(1-e^{iA})/A limit
+            u[z0] = f0.real
+            v[z0] = f0.imag
+        out.real += u
+        out.imag += v
+    return out
 
 
 def _blocked(n: int, run, workers: int = 1) -> None:
@@ -330,25 +468,30 @@ def _blocked(n: int, run, workers: int = 1) -> None:
 
 def _evaluate(z: np.ndarray, params: ApproxParams, workers: int) -> np.ndarray:
     """w over the validated flat array ``z``, block by block; lower
-    half-plane points use w(z) = 2*exp(-z^2) - w(-z)."""
+    half-plane points use w(z) = 2*exp(-z^2) - w(-z).  Each thread keeps
+    one kernel scratch for all its blocks."""
     out = np.empty_like(z)
+    scratch = threading.local()
 
     def run(lo, hi):
+        work = getattr(scratch, "work", None)
+        if work is None:
+            work = scratch.work = np.empty(
+                _work_size(params.n_terms, min(_BLOCK, z.size)))
         zb = z[lo:hi]
         neg = zb.imag < 0.0
-        w = _w_upper(np.where(neg, -zb, zb), params)
+        w = _w_upper(np.where(neg, -zb, zb), params, out[lo:hi], work)
         idx = np.flatnonzero(neg)
         zn = zb[idx]
-        with np.errstate(over="ignore", under="ignore"):
-            E = np.exp(-(zn * zn))
-        bad = ~np.isfinite(E)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            r = 2.0 * np.exp(-(zn * zn)) - w[idx]
+        bad = ~np.isfinite(r)
         if bad.any():
             i = lo + int(idx[np.argmax(bad)])
             raise ReflectionOverflowError(
-                f"exp(-z^2) overflows binary64 at index {i} (z = {z[i]!r}); "
-                "lower half-plane value not representable", index=i)
-        w[idx] = 2.0 * E - w[idx]
-        out[lo:hi] = w
+                f"2*exp(-z^2) - w(-z) overflows binary64 at index {i} "
+                f"(z = {z[i]!r}); lower half-plane value not representable", index=i)
+        w[idx] = r
 
     _blocked(z.size, run, workers)
     return out
@@ -442,8 +585,8 @@ def eval_w(z, params=None) -> complex:
         If z is non-finite or has a component of size >= sqrt(DBL_MAX)/(2*tau_m)
         (``index`` is 0).
     ReflectionOverflowError
-        If exp(-z^2) exceeds the binary64 range (large |Im z| below the axis):
-        the lower half-plane value is not representable.
+        If 2*exp(-z^2) - w(-z) exceeds the binary64 range (large |Im z|
+        below the axis): the lower half-plane value is not representable.
     """
     return _scalar_call(eval_batch, z, params)
 
@@ -464,8 +607,8 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
         Non-finite element, or one with a component of size >=
         sqrt(DBL_MAX)/(2*tau_m) (reported with its index).
     ReflectionOverflowError
-        exp(-z^2) overflow for a lower half-plane element (the first such
-        index).
+        2*exp(-z^2) - w(-z) overflow for a lower half-plane element (the
+        first such index).
     """
     params = _resolve_params(params)
     flat, shape = _validated(zs, params)

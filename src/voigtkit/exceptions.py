@@ -15,8 +15,9 @@ class DomainError(ValueError):
 
 
 class ReflectionOverflowError(OverflowError):
-    """exp(-z^2) exceeded the binary64 range while reflecting a lower
-    half-plane argument; the function value is not representable."""
+    """The reflected value 2*exp(-z^2) - w(-z) of a lower half-plane
+    argument exceeded the binary64 range; the function value is not
+    representable."""
 
     def __init__(self, message, index=None):
         super().__init__(message)

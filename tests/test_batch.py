@@ -161,6 +161,18 @@ def test_overflow_error_carries_index():
     assert err.value.index == 2
 
 
+def test_reflected_overflow_in_second_block_carries_index():
+    # exp(-z^2) is finite at -26.6364j, but 2*exp(-z^2) - w(-z) overflows
+    z = vk.generate_inputs(vk.InputSpec(size=2 * BLOCK + 5, seed=4))
+    i = BLOCK + 3
+    z[i] = -26.6364j
+    for workers in (1, 2):
+        with pytest.raises(ReflectionOverflowError) as err:
+            vk.eval_batch(z, workers=workers)
+        assert err.value.index == i
+        assert f"at index {i} " in str(err.value)
+
+
 def test_eq3_batch_rejects_lower_half_with_index():
     zs = np.array([1 + 1j, 1 - 1j])
     with pytest.raises(DomainError) as err:
@@ -214,6 +226,29 @@ def test_validation_contract(name):
     assert err.value.index == 2
 
 
+@pytest.mark.parametrize("lo,hi,bound", [(1e-6, 1e-5, 1e-10), (1e-3, 1e-2, 1e-14)])
+def test_guard_edge_band_near_zero(lo, hi, bound):
+    # |tau*z| just outside the guard radius of 0, and just outside the
+    # kernel's own patch radius, where a plain 1 - exp(i*tau*z) would lose
+    # eps/|tau*z| (1e-13 there)
+    from scipy.special import wofz
+    rng = np.random.default_rng(2024)
+    r = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), 20_000) / 12.0
+    z = r * np.exp(1j * rng.uniform(0.0, math.pi, r.size))
+    w = vk.eval_batch(z, vk.Preset.HIGH.params)
+    assert (np.abs(w - wofz(z)) / np.abs(wofz(z)) <= bound).all()
+
+
+def test_guard_edge_bands_near_k_pi_in_gate():
+    # tau*z just outside the guard radius of +-k*pi, on and near the axis
+    from scipy.special import wofz
+    x = np.array([s * (k * math.pi + e * d) / 12.0 for k in range(1, 24)
+                  for s in (1, -1) for e in (1, -1) for d in (1.0001e-6, 2e-6, 3e-6)])
+    z = (x[:, None] + 1j * np.array([0.0, 1e-9, 1e-8, 5e-8])).ravel()
+    w = vk.eval_batch(z, vk.Preset.HIGH.params)
+    assert (np.abs(w - wofz(z)) / np.abs(wofz(z)) <= 1e-10).all()
+
+
 @pytest.mark.parametrize("tau_m,preset,gate", [(12.0, vk.Preset.HIGH, 1e-10),
                                                (9.0, vk.Preset.FAST, 1e-5)])
 def test_domain_bound_at_large_z(tau_m, preset, gate):
@@ -222,8 +257,11 @@ def test_domain_bound_at_large_z(tau_m, preset, gate):
     from scipy.special import wofz
     bound = math.sqrt(sys.float_info.max) / (2.0 * tau_m)
     r = np.nextafter(bound, 0.0)
-    inside = np.array([r + 0j, r * 1j, r + r * 1j, -r + r * 1j, r + 1j, 1 + r * 1j,
-                       r - 1j, -r - 0.5j, 1e152 + 3e152j])
+    decades = 10.0 ** np.arange(60, 151)       # where an unscaled real split breaks
+    inside = np.concatenate([
+        [r + 0j, r * 1j, r + r * 1j, -r + r * 1j, r + 1j, 1 + r * 1j,
+         r - 1j, -r - 0.5j, 1e152 + 3e152j],
+        decades + 0j, decades * 1j, decades * (1 + 1j)])
     w = vk.eval_batch(inside, preset.params)
     ref = wofz(inside)
     assert (np.abs(w - ref) / np.abs(ref) <= gate).all()

@@ -115,8 +115,12 @@ class TestEvalW:
                               vk.eval_w(z).conjugate()) <= 2
 
     def test_overflow_signalled(self):
-        with pytest.raises(ReflectionOverflowError):
-            vk.eval_w(-30j)
+        # exp(-z^2) overflows at -30j; at -26.6364j it is finite (1.3e308)
+        # but the reflected value 2*exp(-z^2) - w(-z) is not
+        for z in (-30j, -26.6364j):
+            with pytest.raises(ReflectionOverflowError) as err:
+                vk.eval_w(z)
+            assert err.value.index == 0, z
 
     def test_upper_half_equals_eq3(self):
         z = 2.5 + 0.25j
