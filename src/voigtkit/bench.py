@@ -153,22 +153,25 @@ def _correctness_guard(impl: ImplId, zs, fn, params, degree) -> None:
             f"{worst:.3e} exceeds {bound:.1e}; refusing to time wrong results")
 
 
-def _timed_runs(fn, zs, repeats: int) -> list[float]:
-    fn(zs[: min(zs.size, 2**18)])        # warm-up, excluded
-    times = []
-    checksum = None
+def _timed_runs(cases, repeats: int) -> list[list[float]]:
+    """Wall times of ``repeats`` rounds over ``cases``, (fn, zs) pairs run
+    once each per round, so that the machine's speed drift falls on all of
+    them alike.  Each gets one warm-up run (excluded) first, and its
+    checksum must not change between rounds."""
+    for fn, zs in cases:
+        fn(zs[: min(zs.size, 2**18)])
+    times = [[] for _ in cases]
+    checksums = [set() for _ in cases]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn(zs)
-        t1 = time.perf_counter()
-        times.append(t1 - t0)
-        cs = complex(np.sum(out))
-        if checksum is None:
-            checksum = cs
-        elif cs != checksum:
-            raise BenchmarkError("checksum changed between repeats; "
-                                 "timed computation is not deterministic")
-        del out
+        for (fn, zs), t, cs in zip(cases, times, checksums):
+            t0 = time.perf_counter()
+            out = fn(zs)
+            t.append(time.perf_counter() - t0)
+            cs.add(complex(np.sum(out)))
+            del out
+    if any(len(cs) > 1 for cs in checksums):
+        raise BenchmarkError("checksum changed between repeats; "
+                             "timed computation is not deterministic")
     return times
 
 
@@ -201,7 +204,7 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
     impl = ImplId(impl)
     label, fn = _resolve_impl(impl, params, degree, workers)
     _correctness_guard(impl, zs, fn, params, degree)
-    times = _timed_runs(fn, zs, repeats)
+    times, = _timed_runs([(fn, zs)], repeats)
     med = statistics.median(times)
     _check_resolution(med)
     return BenchRecord(impl=label, size=int(zs.size), repeats=repeats,
@@ -211,8 +214,9 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
 def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     """Share of total batch-evaluation time spent on the single
     transcendental pass B = exp(i*A): the kernel's own exp pass, run over
-    the kernel's blocks.  Both sides are measured with the same
-    warm-up/median protocol on the same data."""
+    the kernel's blocks.  The two sides run alternately on the same data,
+    one of each per repeat, and the share is the median of the per-repeat
+    ratios, so that the machine's speed drift cancels."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
         raise DomainError("cannot measure an empty input")
@@ -226,10 +230,9 @@ def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
         core._blocked(a.size, lambda lo, hi: core._exp_pass(a[lo:hi], out=B[lo:hi]))
         return B
 
-    t_exp = statistics.median(_timed_runs(exp_pass, A, repeats))
-    t_total = statistics.median(
-        _timed_runs(lambda q: core.eval_batch(q, params), zs, repeats))
-    frac = t_exp / t_total
+    t_exp, t_total = _timed_runs(
+        [(exp_pass, A), (lambda q: core.eval_batch(q, params), zs)], repeats)
+    frac = statistics.median(e / t for e, t in zip(t_exp, t_total))
     if not 0.0 < frac < 1.0:
         raise BenchmarkError(
             f"measured exponentiation fraction {frac!r} is outside (0, 1); "

@@ -19,27 +19,25 @@ Two algebraically equivalent forms are provided:
   shared denominator n^2 pi^2 - (tau_m*z)^2.  Every point runs the same
   loop; term n is replaced by its truncated-series limit only at the points
   within _PATCH_RADIUS of the removable singularity tau_m*z = +-n*pi
-  (likewise i*(1 - B)/A near 0), so every input in the closed upper
-  half-plane with |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m) yields a finite
-  value; inputs outside that box raise DomainError.  One locator,
-  ``_singular``, finds these points for both forms.
+  (likewise i*(1 - B)/A near 0).  One locator, ``_singular``, finds these
+  points for both forms.
 
-Batch evaluation of the production form runs block by block: each block
-of ``_BLOCK`` consecutive points goes through the whole per-point path
-(reflection of lower half-plane points included) in a scratch buffer that
-each thread reuses from block to block, so the working arrays stay
-cache-sized and peak memory is the output plus a few blocks.  Each block
-makes one transcendental pass for B, plus exp(-z^2) for its lower
-half-plane points.  All evaluators are elementwise, so batch output is
-bitwise identical to a scalar sweep (a 1-element batch) and independent of
-blocks and threads.
+Both forms return the asymptote i/(sqrt(pi)*z) for |z| >= _FAR, so every
+finite input in the closed upper half-plane yields a finite value.
+
+Batch evaluation runs block by block: each block of ``_BLOCK`` consecutive
+points goes through the whole per-point path (reflection of lower
+half-plane points included) in a scratch buffer of its own, so the working
+arrays stay cache-sized and peak memory is the output plus a few blocks.
+Each block makes one transcendental pass for B, plus exp(-z^2) for its
+lower half-plane points.  All evaluators are elementwise, so batch output
+is bitwise identical to a scalar sweep (a 1-element batch) and independent
+of blocks and threads.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,7 +67,6 @@ _PI = math.pi
 _PI2 = math.pi * math.pi
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_LN2 = math.sqrt(math.log(2.0))
-_SQRT_DBL_MAX = math.sqrt(sys.float_info.max)
 
 #: Guard radius: eval_eq1 rejects tau_m*z with |tau_m*z| < GUARD_RADIUS or
 #: |tau_m*z -+ n*pi| < GUARD_RADIUS, where a term of the raw series is 0/0;
@@ -85,11 +82,18 @@ GUARD_RADIUS = 1e-6
 _PATCH_RADIUS = 1e-3
 
 #: Points per block of batch evaluation.  A block's scratch (half a term
-#: table and 17 rows: 2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the
+#: table and 16 rows: 2.5 MiB at HIGH) overflows a 2 MiB L2, but halving the
 #: block doubles the per-point share of its ~100 numpy calls: at 2^20
 #: points (2-core Xeon, numpy 2.4) blocks of 8192 measured fastest, 16384 as
 #: fast with twice the scratch, 4096 17% and 2048 34% slower.
 _BLOCK = 8192
+
+#: From |z| >= _FAR on, w(z) = i/(sqrt(pi)*z)*(1 + O(z^-2)) is taken as it
+#: stands: its truncation, 1/(2|z|^2) <= 5e-17, is below rounding.  Below
+#: it, (tau_m*z)^4 and so every term of the series stays in binary64 range
+#: for tau_m < _TAU_MAX.
+_FAR = 1e8
+_TAU_MAX = 1e60
 
 #: Below doppler_hwhm < LORENTZ_FALLBACK_RATIO * lorentz_hwhm the profile
 #: degenerates to a closed-form Lorentzian (the dimensionless y would overflow).
@@ -108,8 +112,8 @@ class ApproxParams:
 
     def __post_init__(self):
         tau = self.tau_m
-        if not (math.isfinite(tau) and tau > 0.0):
-            raise DomainError(f"tau_m must be finite and > 0, got {tau!r}")
+        if not 0.0 < tau < _TAU_MAX:
+            raise DomainError(f"tau_m must be > 0 and < {_TAU_MAX:g}, got {tau!r}")
         if self.n_terms < 1:
             raise DomainError(f"n_terms must be >= 1, got {self.n_terms!r}")
         a = np.asarray(self.coefficients, dtype=np.float64)
@@ -137,14 +141,14 @@ def fourier_coefficients(tau_m: float, n_terms: int) -> ApproxParams:
     Raises
     ------
     DomainError
-        If ``tau_m <= 0``, ``n_terms < 1``, or the requested tail coefficients
-        underflow to zero in binary64.
+        If ``tau_m`` is not in (0, 1e60), ``n_terms < 1``, or the requested
+        tail coefficients underflow to zero in binary64.
     """
     if not (isinstance(n_terms, (int, np.integer)) and not isinstance(n_terms, bool)):
         raise DomainError(f"n_terms must be an integer, got {n_terms!r}")
     tau_m = float(tau_m)
-    if not (math.isfinite(tau_m) and tau_m > 0.0):
-        raise DomainError(f"tau_m must be finite and > 0, got {tau_m!r}")
+    if not 0.0 < tau_m < _TAU_MAX:
+        raise DomainError(f"tau_m must be > 0 and < {_TAU_MAX:g}, got {tau_m!r}")
     n = np.arange(n_terms + 1, dtype=np.float64)
     a0 = 2.0 * _SQRT_PI / tau_m
     a = a0 * np.exp(-(n * n) * (_PI2 / (tau_m * tau_m)))
@@ -213,24 +217,16 @@ class VoigtLine:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _validated(zs, params: ApproxParams, caller: str | None = None):
+def _validated(zs, caller: str | None = None):
     """``zs`` as a flat complex128 array plus its shape.  Raises DomainError
-    with the index of the first non-finite element, else of the first with a
-    component of size >= sqrt(DBL_MAX)/(2*tau_m) (A*A and the loop's
-    divisions would leave binary64 range), else, when ``caller`` is given,
-    of the first with Im z < 0."""
+    with the index of the first non-finite element, else, when ``caller``
+    is given, of the first with Im z < 0."""
     z = np.asarray(zs, dtype=np.complex128)
     flat = z.ravel()
     v = flat.view(np.float64)
-    limit = _SQRT_DBL_MAX / (2.0 * params.tau_m)
-    if flat.size and not (v.min() > -limit and v.max() < limit):
-        bad = ~np.isfinite(flat)
-        what = "non-finite input"
-        if not bad.any():
-            bad = (np.abs(flat.real) >= limit) | (np.abs(flat.imag) >= limit)
-            what = f"component of size >= sqrt(DBL_MAX)/(2*tau_m) = {limit:.6g}"
-        i = int(np.argmax(bad))
-        raise DomainError(f"{what} at index {i}: {flat[i]!r}", index=i)
+    if flat.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
+        i = int(np.argmax(~np.isfinite(flat)))
+        raise DomainError(f"non-finite input at index {i}: {flat[i]!r}", index=i)
     if caller is not None:
         neg = flat.imag < 0.0
         if neg.any():
@@ -304,11 +300,6 @@ def _singular(A, n_max, radius=GUARD_RADIUS):
     return idx[hit], k[hit], s[hit]
 
 
-#: Scratch rows of ``_w_upper`` besides its term table; two rows hold one
-#: complex array.
-_ROWS = 17
-
-
 @lru_cache(maxsize=None)
 def _parity_terms(n_terms: int):
     """The odd and the even n of 1..n_terms, each with a column of n^2 pi^2."""
@@ -322,11 +313,6 @@ def _parity_terms(n_terms: int):
     return tuple(out)
 
 
-def _work_size(n_terms: int, m: int) -> int:
-    """float64 elements of ``_w_upper``'s scratch for blocks of m points."""
-    return (2 * ((n_terms + 1) // 2) + _ROWS) * m
-
-
 def _tree_sum(T, count):
     """Sum rows 0..count-1 of T's middle axis into row 0 by halving: each
     step adds whole slices elementwise, so a point's sum has the same bits
@@ -337,19 +323,18 @@ def _tree_sum(T, count):
         count -= h
 
 
-def _w_upper(z, params, out, work):
+def _w_upper(z, params, out):
     """Single-exponential form over the closed upper half-plane (1-D input)
-    in float64 real arithmetic, written to ``out``; ``work`` is a flat
-    float64 scratch of at least ``_work_size(n_terms, z.size)`` elements.
-    With A = tau_m*z, C = A^2 and B = exp(iA),
+    in float64 real arithmetic, written to ``out``.  With A = tau_m*z,
+    C = A^2 and B = exp(iA),
 
         w = i*(1 - B)/A + i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even),
         S_even = sum a_n/(n^2 pi^2 - C),  S_alt = sum (-1)^n a_n/(n^2 pi^2 - C),
 
     and a_n/(n^2 pi^2 - C) = a_n*(d_n + i Im C)/(d_n^2 + (Im C)^2) with
     d_n = n^2 pi^2 - Re C: one real division per term.  The odd and the
-    even terms each fill a (terms x points) table, scaled per point by
-    s = max(1, |C|) so that the squares stay in range.  A sparse patch: at
+    even terms each fill a (terms x points) table; for |z| < _FAR the
+    squares stay in binary64 range.  A sparse patch: at
     the points ``_singular`` places within _PATCH_RADIUS of +-n*pi, term n
     gets zero weight in the sums and its series limit is added to
     B*S_alt - S_even; within _PATCH_RADIUS of 0, i*(1 - B)/A is replaced by
@@ -358,12 +343,12 @@ def _w_upper(z, params, out, work):
     nt = params.n_terms
     m = z.size
     half = (nt + 1) // 2
-    T = work[:2 * half * m].reshape(2, half, m)    # T[0]: Re weights, T[1]: Im weights
-    rows = work[2 * half * m:_work_size(nt, m)].reshape(_ROWS, m)
+    T = np.empty((2, half, m))                     # T[0]: Re weights, T[1]: Im weights
+    rows = np.empty((16, m))                       # two rows hold one complex array
     A = rows[0:2].reshape(-1).view(np.complex128)
     B = rows[2:4].reshape(-1).view(np.complex128)
     P = rows[4:8].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
-    m2, cr, ci, inv, sq, r1, r2, u, v = rows[8:]
+    m2, cr, ci, sq, r1, r2, u, v = rows[8:]
     np.multiply(z, params.tau_m, out=A)
     _, pr = _exp_pass(A, out=B)                    # pr = Re(1 - B)
     hit, k, sign = _singular(A, nt, _PATCH_RADIUS)
@@ -379,18 +364,14 @@ def _w_upper(z, params, out, work):
     cr -= sq                                    # Re C
     np.multiply(ar, ai, out=ci)
     ci += ci                                    # Im C
-    np.maximum(m2, 1.0, out=inv)                # s = max(1, |C|)
-    np.divide(1.0, inv, out=inv)                # 1/s
-    ci *= inv
     np.square(ci, out=sq)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for p, (n, npi2) in enumerate(_parity_terms(nt)):
             Tp = T[:, :n.size]
-            np.subtract(npi2, cr, out=Tp[0])
-            Tp[0] *= inv                                    # d_n/s
+            np.subtract(npi2, cr, out=Tp[0])                # d_n
             np.square(Tp[0], out=Tp[1])
             Tp[1] += sq
-            np.divide(a[n][:, None], Tp[1], out=Tp[1])      # a_n*s^2/|.|^2
+            np.divide(a[n][:, None], Tp[1], out=Tp[1])      # a_n/|.|^2
             Tp[0] *= Tp[1]
             if j.size:
                 mine = (kk & 1) != p
@@ -398,13 +379,13 @@ def _w_upper(z, params, out, work):
             _tree_sum(Tp, n.size)
             P[p] = Tp[:, 0] if n.size else 0.0
         (ov, o_i), (ev, e_i) = P
-        np.subtract(ev, ov, out=r1)             # s*S_alt = r1 + i*r2
+        np.subtract(ev, ov, out=r1)             # S_alt = r1 + i*r2
         np.subtract(e_i, o_i, out=r2)
         r2 *= ci
-        ev += ov                                # s*S_even = ev + i*e_i
+        ev += ov                                # S_even = ev + i*e_i
         e_i += o_i
         e_i *= ci
-        np.multiply(br, r1, out=u)              # s*(B*S_alt - S_even) = u + i*v
+        np.multiply(br, r1, out=u)              # B*S_alt - S_even = u + i*v
         np.multiply(bi, r2, out=sq)
         u -= sq
         u -= ev
@@ -415,21 +396,21 @@ def _w_upper(z, params, out, work):
         if j.size:
             npi = kk * _PI
             d = A[j] - sg * npi
-            # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2), times s,
-            #   == -sg*a_n*(e^{id} - 1)/d / (2 n pi + sg d) * s,  d = A - sg n pi
+            # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
+            #   == -sg*a_n*(e^{id} - 1)/d / (2 n pi + sg d),  d = A - sg n pi
             lim = ((-sg * a[kk] * 1j) * _series_ratio_p4(1j * d)
-                   / ((2.0 * npi + sg * d) * inv[j]))
+                   / (2.0 * npi + sg * d))
             u[j] += lim.real
             v[j] += lim.imag
-        inv *= -params.tau_m / _SQRT_PI
+        c = -params.tau_m / _SQRT_PI
         np.multiply(ai, v, out=out.imag)        # i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even)
         np.multiply(ar, u, out=sq)
         out.imag -= sq
-        out.imag *= inv
+        out.imag *= c
         np.multiply(ar, v, out=out.real)
         np.multiply(ai, u, out=sq)
         out.real += sq
-        out.real *= inv
+        out.real *= c
         np.multiply(pr, ai, out=u)              # i*(1 - B)/A = i*(1 - B)*conj(A)/|A|^2
         np.multiply(bi, ar, out=sq)
         u += sq
@@ -466,21 +447,35 @@ def _blocked(n: int, run, workers: int = 1) -> None:
             pass
 
 
+def _with_far_field(z, out, series):
+    """w over the 1-D closed upper half-plane block ``z``, written to
+    ``out``: i/(sqrt(pi)*z) at the points with |z| >= _FAR, and
+    ``series(zs, out)`` at the rest, with those points set to i in ``zs``."""
+    with np.errstate(over="ignore"):
+        far = np.flatnonzero(z.real * z.real + z.imag * z.imag >= _FAR * _FAR)
+    if not far.size:
+        series(z, out)
+        return
+    x, y = z.real[far], z.imag[far]
+    z = z.copy()
+    z[far] = 1j
+    series(z, out)
+    # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
+    s = np.maximum(np.abs(x), np.abs(y))
+    x, y = x / s, y / s
+    g = (1.0 / _SQRT_PI) / (x * x + y * y)
+    out.real[far], out.imag[far] = y * g / s, x * g / s
+
+
 def _evaluate(z: np.ndarray, params: ApproxParams, workers: int) -> np.ndarray:
     """w over the validated flat array ``z``, block by block; lower
-    half-plane points use w(z) = 2*exp(-z^2) - w(-z).  Each thread keeps
-    one kernel scratch for all its blocks."""
+    half-plane points use w(z) = 2*exp(-z^2) - w(-z)."""
     out = np.empty_like(z)
-    scratch = threading.local()
 
     def run(lo, hi):
-        work = getattr(scratch, "work", None)
-        if work is None:
-            work = scratch.work = np.empty(
-                _work_size(params.n_terms, min(_BLOCK, z.size)))
-        zb = z[lo:hi]
+        zb, w = z[lo:hi], out[lo:hi]
         neg = zb.imag < 0.0
-        w = _w_upper(np.where(neg, -zb, zb), params, out[lo:hi], work)
+        _with_far_field(np.where(neg, -zb, zb), w, lambda zs, o: _w_upper(zs, params, o))
         idx = np.flatnonzero(neg)
         zn = zb[idx]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -506,13 +501,13 @@ def eval_eq3(z, params=None) -> complex:
     single-exponential production form.
 
     Removable singularities (tau_m*z near 0 or near +-n*pi) are evaluated by
-    guarded series limits, so any valid z yields a finite value.
+    guarded series limits, and |z| >= 1e8 takes the asymptote
+    i/(sqrt(pi)*z), so any finite z with Im z >= 0 yields a finite value.
 
     Raises
     ------
     DomainError
-        If z is non-finite, has a component of size >= sqrt(DBL_MAX)/(2*tau_m),
-        or has Im z < 0 (``index`` is 0).
+        If z is non-finite or has Im z < 0 (``index`` is 0).
     """
     return _scalar_call(eval_eq3_batch, z, params)
 
@@ -521,7 +516,7 @@ def eval_eq3_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """Vectorized :func:`eval_eq3`.  Output is bitwise identical to a scalar
     sweep and independent of ``workers`` or block boundaries."""
     params = _resolve_params(params)
-    flat, shape = _validated(zs, params, "eval_eq3")
+    flat, shape = _validated(zs, "eval_eq3")
     return _evaluate(flat, params, workers).reshape(shape)
 
 
@@ -531,14 +526,15 @@ def eval_eq1(z, params=None) -> complex:
 
     This is the unguarded reference form: arguments with any denominator
     within :data:`GUARD_RADIUS` of zero (tau_m*z near 0 or near +-n*pi) are
-    rejected rather than patched.
+    rejected rather than patched.  Like the production form, it takes the
+    asymptote i/(sqrt(pi)*z) from |z| >= 1e8 on, where the raw terms lose
+    all accuracy to cancellation.
 
     Raises
     ------
     DomainError
-        If z is non-finite, has a component of size >= sqrt(DBL_MAX)/(2*tau_m),
-        has Im z < 0, or tau_m*z is within the guard radius of a removable
-        singularity (``index`` is 0).
+        If z is non-finite, has Im z < 0, or tau_m*z is within the guard
+        radius of a removable singularity (``index`` is 0).
     """
     return _scalar_call(eval_eq1_batch, z, params)
 
@@ -546,29 +542,30 @@ def eval_eq1(z, params=None) -> complex:
 def eval_eq1_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq1`, evaluated block by block."""
     params = _resolve_params(params)
-    flat, shape = _validated(zs, params, "eval_eq1")
+    flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
     out = np.empty_like(flat)
 
     def run(lo, hi):
-        z = flat[lo:hi]
-        A = z * tau
-        hit, k, _ = _singular(A, params.n_terms)
-        if hit.size:
-            i = lo + int(hit[0])
-            raise DomainError(
-                f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
-                f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
-        S = np.zeros_like(A)
-        for n in range(params.n_terms + 1):
-            an_tau = a[n] * tau
-            npi = n * _PI
-            E_plus = np.exp(1j * (npi + A))
-            E_minus = np.exp(1j * (A - npi))
-            S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
-        S -= a[0] * (1.0 - np.exp(1j * A)) / z
-        np.multiply(S, 1j / (2.0 * _SQRT_PI), out=out[lo:hi])
+        def series(z, o):
+            A = z * tau
+            hit, k, _ = _singular(A, params.n_terms)
+            if hit.size:
+                i = lo + int(hit[0])
+                raise DomainError(
+                    f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
+                    f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
+            S = np.zeros_like(A)
+            for n in range(params.n_terms + 1):
+                an_tau = a[n] * tau
+                npi = n * _PI
+                E_plus = np.exp(1j * (npi + A))
+                E_minus = np.exp(1j * (A - npi))
+                S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
+            S -= a[0] * (1.0 - np.exp(1j * A)) / z
+            np.multiply(S, 1j / (2.0 * _SQRT_PI), out=o)
 
+        _with_far_field(flat[lo:hi], out[lo:hi], series)
     _blocked(flat.size, run)
     return out.reshape(shape)
 
@@ -576,14 +573,14 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
 def eval_w(z, params=None) -> complex:
     """Faddeeva function on the full complex plane.
 
-    Im z >= 0 evaluates the production form directly; Im z < 0 uses the
-    exact reflection w(z) = 2*exp(-z^2) - w(-z).
+    Im z >= 0 evaluates the production form directly (the asymptote
+    i/(sqrt(pi)*z) from |z| >= 1e8 on); Im z < 0 uses the exact reflection
+    w(z) = 2*exp(-z^2) - w(-z).
 
     Raises
     ------
     DomainError
-        If z is non-finite or has a component of size >= sqrt(DBL_MAX)/(2*tau_m)
-        (``index`` is 0).
+        If z is non-finite (``index`` is 0).
     ReflectionOverflowError
         If 2*exp(-z^2) - w(-z) exceeds the binary64 range (large |Im z|
         below the axis): the lower half-plane value is not representable.
@@ -604,14 +601,13 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     Raises
     ------
     DomainError
-        Non-finite element, or one with a component of size >=
-        sqrt(DBL_MAX)/(2*tau_m) (reported with its index).
+        Non-finite element (reported with its index).
     ReflectionOverflowError
         2*exp(-z^2) - w(-z) overflow for a lower half-plane element (the
         first such index).
     """
     params = _resolve_params(params)
-    flat, shape = _validated(zs, params)
+    flat, shape = _validated(zs)
     return _evaluate(flat, params, workers).reshape(shape)
 
 

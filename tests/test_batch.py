@@ -1,6 +1,8 @@
 import math
 import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,15 +64,16 @@ def test_chunking_and_workers_do_not_change_bits():
 
 
 def test_block_boundaries_same_bits():
-    # mixed-sign points with lower-half, on-axis k*pi/tau and near-axis
-    # points at the block edges
+    # mixed-sign points with lower-half, on-axis k*pi/tau, near-axis and
+    # far-field (|z| >= 1e8) points at the block edges
     rng = np.random.default_rng(31)
     z = rng.uniform(-10, 10, 3 * BLOCK + 7) + 1j * rng.uniform(-4, 10, 3 * BLOCK + 7)
     step = math.pi / 12.0
     special = {BLOCK - 1: 3 * step + 0j, BLOCK: -5 * step + 0j,
                2 * BLOCK - 1: 1 - 2j, 2 * BLOCK: 7 * step + 1e-9j,
                3 * BLOCK - 1: 0.1 + 0j, 3 * BLOCK: -2 * step - 1e-12j,
-               3 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j}
+               3 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j,
+               BLOCK + 1: -3e8 + 1e8j, 2 * BLOCK + 1: 1e300 - 0.5j}
     for i, v in special.items():
         z[i] = v
     checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
@@ -188,6 +191,21 @@ def test_eq1_batch_matches_scalars(high):
     assert bitwise_equal(batch, scalar)
 
 
+def test_eq1_batch_in_gate_near_axis_at_large_x(high):
+    # the raw terms lose all accuracy to cancellation far out near the axis
+    # (2e-7 at |x| ~ 1e11, 1.0 at 1e16); the asymptote from |z| = 1e8 on
+    # keeps eq1 in gate
+    from scipy.special import wofz
+    rng = np.random.default_rng(1116)
+    for d in range(6, 16):
+        x = 10.0 ** rng.uniform(d, d + 1, 2000) * rng.choice([-1.0, 1.0], 2000)
+        y = np.where(rng.random(2000) < 0.25, 0.0, 10.0 ** rng.uniform(-6, 1, 2000))
+        z = x + 1j * y
+        ref = wofz(z)
+        err = np.abs(vk.eval_eq1_batch(z, high) - ref) / np.abs(ref)
+        assert err.max() <= 1e-10, (d, err.max())
+
+
 def test_eq1_batch_reports_singular_index():
     zs = np.array([1 + 1j, complex(5 * math.pi / 12, 0.0)])
     with pytest.raises(DomainError) as err:
@@ -249,23 +267,48 @@ def test_guard_edge_bands_near_k_pi_in_gate():
     assert (np.abs(w - wofz(z)) / np.abs(wofz(z)) <= 1e-10).all()
 
 
+def _asymptote(z: complex) -> complex:
+    """i/(sqrt(pi)*z) in exact rational arithmetic, correctly rounded."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    c = Fraction(1.0 / math.sqrt(math.pi)) / (x * x + y * y)
+    return complex(float(y * c), float(x * c))
+
+
 @pytest.mark.parametrize("tau_m,preset,gate", [(12.0, vk.Preset.HIGH, 1e-10),
                                                (9.0, vk.Preset.FAST, 1e-5)])
 def test_domain_bound_at_large_z(tau_m, preset, gate):
-    # inside |Re z|, |Im z| < sqrt(DBL_MAX)/(2*tau_m) values stay in gate;
-    # from the bound on (tau_m*z)^2 leaves binary64 range: a typed error
+    # every finite z gets a value up to DBL_MAX, with no RuntimeWarning: the
+    # series below |z| = 1e8, in gate against wofz, and i/(sqrt(pi)*z) from
+    # there on, computed without overflow, even where wofz returns 0.  The
+    # points include those on either side of the former range bound
+    # sqrt(DBL_MAX)/(2*tau_m) and the lower half-plane points whose
+    # exp(-z^2) underflows
     from scipy.special import wofz
     bound = math.sqrt(sys.float_info.max) / (2.0 * tau_m)
     r = np.nextafter(bound, 0.0)
-    decades = 10.0 ** np.arange(60, 151)       # where an unscaled real split breaks
-    inside = np.concatenate([
+    big = sys.float_info.max
+    below = np.nextafter(1e8, 0.0)
+    series = np.concatenate([
+        [below + 0j, below * 1j, -below + 0.5j, 3 + 4j, 1e-3j],
+        (10.0 ** np.arange(0, 8) * np.array([[1], [1j], [1 + 1j], [-1 + 1e-3j]])).ravel()])
+    decades = 10.0 ** np.arange(60, 151)
+    wide = 10.0 ** np.arange(153, 309)
+    far = np.concatenate([
         [r + 0j, r * 1j, r + r * 1j, -r + r * 1j, r + 1j, 1 + r * 1j,
          r - 1j, -r - 0.5j, 1e152 + 3e152j],
-        decades + 0j, decades * 1j, decades * (1 + 1j)])
-    w = vk.eval_batch(inside, preset.params)
-    ref = wofz(inside)
-    assert (np.abs(w - ref) / np.abs(ref) <= gate).all()
-    for z in (bound * 1j, complex(-bound, 1.0), 1e155j):
-        with pytest.raises(DomainError) as err:
-            vk.eval_batch(np.array([1 + 1j, 2 + 2j, z]), preset.params)
-        assert err.value.index == 2, z
+        [bound * 1j, complex(-bound, 1.0), 1e155j],
+        [1e8 + 0j, 1e8j, 1e8 * (1 + 1j)],
+        decades + 0j, decades * 1j, decades * (1 + 1j),
+        wide + 0j, wide * 1j, wide * (1 + 1j), -wide + wide * 1j,
+        [complex(sx * big, sy * big) for sx in (1, -1) for sy in (0, 1)],
+        [big * 1j, complex(big, 1.0), complex(-big, 1.0), complex(1.0, big),
+         complex(big, -1.0), complex(-big, -0.5)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w_series = vk.eval_batch(series, preset.params)
+        w_far = vk.eval_batch(far, preset.params)
+    ref = wofz(series)
+    assert np.isfinite(w_series).all() and np.isfinite(w_far).all()
+    assert (np.abs(w_series - ref) / np.abs(ref) <= gate).all()
+    ref = np.array([_asymptote(z) for z in far])
+    assert (np.abs(w_far - ref) / np.abs(ref) <= gate).all()

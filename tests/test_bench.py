@@ -107,6 +107,22 @@ def test_correctness_guard_aborts_on_garbage(monkeypatch):
         time_implementation("eq1", zs, repeats=3)
 
 
+def test_checksum_change_aborts_round_robin_run():
+    # a computation whose result drifts between rounds is caught, whichever
+    # case of the round-robin run it is
+    calls = []
+
+    def drifting(q):
+        calls.append(None)
+        return q * len(calls)
+
+    zs = np.ones(8, dtype=complex)
+    times = bench_mod._timed_runs([(np.conj, zs), (np.negative, zs)], 3)
+    assert [len(t) for t in times] == [3, 3]
+    with pytest.raises(BenchmarkError, match="checksum"):
+        bench_mod._timed_runs([(np.conj, zs), (drifting, zs)], 3)
+
+
 def test_timer_resolution_guard(monkeypatch):
     import time as time_module
 

@@ -54,7 +54,7 @@ def test_decay_ratio_exact_within_2_ulps(tau, n):
         assert abs(got - expected) <= 2 * np.spacing(expected)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, 1e60])
 def test_bad_tau_rejected(tau):
     with pytest.raises(DomainError):
         fourier_coefficients(tau, 5)
@@ -104,6 +104,11 @@ def test_direct_construction_validates():
     bad_a0[0] *= 1.0 + 1e-12
     with pytest.raises(DomainError):
         vk.ApproxParams(12.0, 3, bad_a0)                         # a_0 off formula
+    # a hand-built table whose tau_m would take the series' terms out of
+    # binary64 range below |z| = 1e8
+    with pytest.raises(DomainError, match="tau_m must be > 0 and < "):
+        vk.ApproxParams(1e60, 1, [2.0 * math.sqrt(math.pi) / 1e60, 1e-70])
+    vk.ApproxParams(1e59, 1, [2.0 * math.sqrt(math.pi) / 1e59, 1e-70])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 import voigtkit as vk
 from voigtkit import DomainError, WeidemanCoeffs, weideman_coefficients, weideman_w
+from voigtkit.bench import _timed_runs
 
 from conftest import ulps_apart
 
@@ -92,13 +94,15 @@ def test_fixed_cost_baseline_throughput():
     # DRAM-bound regime (cache-resident sizes read much faster), and numpy's
     # complex division takes value-dependent branches worth ~20% on its own,
     # hence the 25% band: an adaptive method would vary by integer factors.
-    thr = []
-    for y_range in ((0.1, 1.0), (5.0, 50.0)):
-        zs = vk.generate_inputs(vk.InputSpec(size=1 << 21, seed=9, y_range=y_range))
-        thr.append(vk.time_implementation("weideman", zs, repeats=5).throughput)
-    for p in (21, 22):
-        zs = vk.generate_inputs(vk.InputSpec(size=1 << p, seed=9))
-        thr.append(vk.time_implementation("weideman", zs, repeats=5).throughput)
+    # The four configurations run round-robin, so that a slow phase of the
+    # machine falls on all of them alike, and each is scored by its median.
+    inputs = [vk.generate_inputs(vk.InputSpec(size=1 << 21, seed=9, y_range=y_range))
+              for y_range in ((0.1, 1.0), (5.0, 50.0))]
+    inputs += [vk.generate_inputs(vk.InputSpec(size=1 << p, seed=9)) for p in (21, 22)]
+    c = weideman_coefficients(16)
+    times = _timed_runs([(lambda zs: vk.weideman_batch(zs, c), zs) for zs in inputs],
+                        repeats=7)
+    thr = [zs.size / statistics.median(t) for zs, t in zip(inputs, times)]
     center = float(np.prod(thr)) ** (1.0 / len(thr))
     ratios = [t / center for t in thr]
     assert all(0.75 <= r <= 1.25 for r in ratios), ratios
