@@ -25,12 +25,14 @@ Two algebraically equivalent forms are provided:
 Both forms return the asymptote i/(sqrt(pi)*z) for |z| >= _FAR, so every
 finite input in the closed upper half-plane yields a finite value.
 
-Batch evaluation runs block by block: each block of ``_BLOCK`` consecutive
-points goes through the whole per-point path (reflection of lower
-half-plane points included) in a scratch buffer of its own, so the working
-arrays stay cache-sized and peak memory is the output plus a few blocks.
-Each block makes one transcendental pass for B, plus exp(-z^2) for its
-lower half-plane points.  All evaluators are elementwise, so batch output
+All batch evaluation runs through one block path, ``_evaluate``: each
+block of ``_BLOCK`` consecutive points is folded into the upper half-plane,
+goes through the series form (eq3's kernel or eq1's raw series), gets the
+asymptote at its far points and the reflection at its lower half-plane
+points, in a scratch buffer of its own, so the working arrays stay
+cache-sized and peak memory is the output plus a few blocks.  Each block
+makes one transcendental pass for B, plus exp(-z^2) for its lower
+half-plane points.  All evaluators are elementwise, so batch output
 is bitwise identical to a scalar sweep (a 1-element batch) and independent
 of blocks and threads.
 """
@@ -217,10 +219,10 @@ class VoigtLine:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _validated(zs, caller: str | None = None):
+def _validated(zs, caller: str | None = None, open_half: bool = False):
     """``zs`` as a flat complex128 array plus its shape.  Raises DomainError
     with the index of the first non-finite element, else, when ``caller``
-    is given, of the first with Im z < 0."""
+    is given, of the first with Im z < 0 (Im z <= 0 if ``open_half``)."""
     z = np.asarray(zs, dtype=np.complex128)
     flat = z.ravel()
     v = flat.view(np.float64)
@@ -228,10 +230,11 @@ def _validated(zs, caller: str | None = None):
         i = int(np.argmax(~np.isfinite(flat)))
         raise DomainError(f"non-finite input at index {i}: {flat[i]!r}", index=i)
     if caller is not None:
-        neg = flat.imag < 0.0
-        if neg.any():
-            i = int(np.argmax(neg))
-            raise DomainError(f"{caller} requires Im z >= 0; index {i} is {flat[i]!r}",
+        outside = flat.imag <= 0.0 if open_half else flat.imag < 0.0
+        if outside.any():
+            i = int(np.argmax(outside))
+            rel = ">" if open_half else ">="
+            raise DomainError(f"{caller} requires Im z {rel} 0; index {i} is {flat[i]!r}",
                               index=i)
     return flat, z.shape
 
@@ -258,18 +261,16 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # batch == scalar-sweep contract.  Non-aliased multiplies, divisions and
 # additions are position-stable.
 
-def _exp_pass(A, out=None):
+def _exp_pass(A, out):
     """B = exp(i*A) for Im A >= 0, the one transcendental pass of the
     production form: with t = tan(Re A/2) and e = exp(-Im A),
 
         B = e*((1 - t^2) + 2it)/(1 + t^2),
 
-    from one tangent and one expm1 pass.  Returns B (in ``out`` if given)
-    and Re(1 - B) = 2e*t^2/(1 + t^2) - expm1(-Im A), a sum of two
+    from one tangent and one expm1 pass.  Returns B (in ``out``) and
+    Re(1 - B) = 2e*t^2/(1 + t^2) - expm1(-Im A), a sum of two
     non-negative parts, so 1 - B keeps its relative accuracy near A = 0;
     Im(1 - B) = -Im B."""
-    if out is None:
-        out = np.empty_like(A)
     h, t, em1, g = np.empty((4, A.size))
     np.multiply(A.real, 0.5, out=t)
     np.tan(t, out=t)
@@ -447,39 +448,39 @@ def _blocked(n: int, run, workers: int = 1) -> None:
             pass
 
 
-def _with_far_field(z, out, series):
-    """w over the 1-D closed upper half-plane block ``z``, written to
-    ``out``: i/(sqrt(pi)*z) at the points with |z| >= _FAR, and
-    ``series(zs, out)`` at the rest, with those points set to i in ``zs``."""
-    with np.errstate(over="ignore"):
-        far = np.flatnonzero(z.real * z.real + z.imag * z.imag >= _FAR * _FAR)
-    if not far.size:
-        series(z, out)
-        return
-    x, y = z.real[far], z.imag[far]
-    z = z.copy()
-    z[far] = 1j
-    series(z, out)
-    # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
-    s = np.maximum(np.abs(x), np.abs(y))
-    x, y = x / s, y / s
-    g = (1.0 / _SQRT_PI) / (x * x + y * y)
-    out.real[far], out.imag[far] = y * g / s, x * g / s
-
-
-def _evaluate(z: np.ndarray, params: ApproxParams, workers: int) -> np.ndarray:
-    """w over the validated flat array ``z``, block by block; lower
-    half-plane points use w(z) = 2*exp(-z^2) - w(-z)."""
+def _evaluate(z: np.ndarray, series, workers: int = 1) -> np.ndarray:
+    """w over the validated flat array ``z``, block by block: the one block
+    path of all three series evaluators.  Each block is folded into the
+    closed upper half-plane (-z for Im z < 0) in one copy, in which the
+    points with |z| >= _FAR are set to i; ``series(zs, out, lo)`` writes the
+    block starting at index ``lo``, the far points then get i/(sqrt(pi)*z),
+    and lower half-plane points take w(z) = 2*exp(-z^2) - w(-z)."""
     out = np.empty_like(z)
 
     def run(lo, hi):
         zb, w = z[lo:hi], out[lo:hi]
         neg = zb.imag < 0.0
-        _with_far_field(np.where(neg, -zb, zb), w, lambda zs, o: _w_upper(zs, params, o))
+        zs = np.where(neg, -zb, zb)
+        with np.errstate(over="ignore"):
+            far = np.flatnonzero(zs.real * zs.real + zs.imag * zs.imag >= _FAR * _FAR)
+        x, y = zs.real[far], zs.imag[far]
+        zs[far] = 1j
+        series(zs, w, lo)
+        if far.size:
+            # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
+            s = np.maximum(np.abs(x), np.abs(y))
+            x, y = x / s, y / s
+            g = (1.0 / _SQRT_PI) / (x * x + y * y)
+            w.real[far], w.imag[far] = y * g / s, x * g / s
         idx = np.flatnonzero(neg)
-        zn = zb[idx]
+        if not idx.size:
+            return
+        x, y = zb.real[idx], zb.imag[idx]
+        e = np.empty(idx.size, np.complex128)    # -z^2, with no inf - inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            r = 2.0 * np.exp(-(zn * zn)) - w[idx]
+            np.multiply(y - x, y + x, out=e.real)
+            np.multiply(x, -2.0 * y, out=e.imag)
+            r = 2.0 * np.exp(e) - w[idx]
         bad = ~np.isfinite(r)
         if bad.any():
             i = lo + int(idx[np.argmax(bad)])
@@ -512,12 +513,12 @@ def eval_eq3(z, params=None) -> complex:
     return _scalar_call(eval_eq3_batch, z, params)
 
 
-def eval_eq3_batch(zs, params=None, workers: int = 1) -> np.ndarray:
+def eval_eq3_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq3`.  Output is bitwise identical to a scalar
-    sweep and independent of ``workers`` or block boundaries."""
+    sweep and independent of block boundaries."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq3")
-    return _evaluate(flat, params, workers).reshape(shape)
+    return _evaluate(flat, lambda z, o, lo: _w_upper(z, params, o)).reshape(shape)
 
 
 def eval_eq1(z, params=None) -> complex:
@@ -544,30 +545,26 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
-    out = np.empty_like(flat)
 
-    def run(lo, hi):
-        def series(z, o):
-            A = z * tau
-            hit, k, _ = _singular(A, params.n_terms)
-            if hit.size:
-                i = lo + int(hit[0])
-                raise DomainError(
-                    f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
-                    f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
-            S = np.zeros_like(A)
-            for n in range(params.n_terms + 1):
-                an_tau = a[n] * tau
-                npi = n * _PI
-                E_plus = np.exp(1j * (npi + A))
-                E_minus = np.exp(1j * (A - npi))
-                S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
-            S -= a[0] * (1.0 - np.exp(1j * A)) / z
-            np.multiply(S, 1j / (2.0 * _SQRT_PI), out=o)
+    def series(z, out, lo):
+        A = z * tau
+        hit, k, _ = _singular(A, params.n_terms)
+        if hit.size:
+            i = lo + int(hit[0])
+            raise DomainError(
+                f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
+                f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
+        S = np.zeros_like(A)
+        for n in range(params.n_terms + 1):
+            an_tau = a[n] * tau
+            npi = n * _PI
+            E_plus = np.exp(1j * (npi + A))
+            E_minus = np.exp(1j * (A - npi))
+            S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
+        S -= a[0] * (1.0 - np.exp(1j * A)) / z
+        np.multiply(S, 1j / (2.0 * _SQRT_PI), out=out)
 
-        _with_far_field(flat[lo:hi], out[lo:hi], series)
-    _blocked(flat.size, run)
-    return out.reshape(shape)
+    return _evaluate(flat, series).reshape(shape)
 
 
 def eval_w(z, params=None) -> complex:
@@ -608,7 +605,7 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """
     params = _resolve_params(params)
     flat, shape = _validated(zs)
-    return _evaluate(flat, params, workers).reshape(shape)
+    return _evaluate(flat, lambda z, o, lo: _w_upper(z, params, o), workers).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

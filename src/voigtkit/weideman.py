@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _scalar_call
+from .core import _scalar_call, _validated
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
@@ -112,18 +112,8 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
     """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep."""
     coeffs = coeffs if coeffs is not None else _default_coeffs()
-    z = np.asarray(zs, dtype=np.complex128)
-    flat = z.ravel()
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(f"non-finite input at index {i}: {flat[i]!r}", index=i)
-    low = flat.imag <= 0.0
-    if low.any():
-        i = int(np.flatnonzero(low)[0])
-        raise DomainError(f"weideman_w requires Im z > 0; index {i} is {flat[i]!r}",
-                          index=i)
-    return _weideman_kernel(flat, coeffs).reshape(z.shape)
+    flat, shape = _validated(zs, "weideman_w", open_half=True)
+    return _weideman_kernel(flat, coeffs).reshape(shape)
 
 
 @lru_cache(maxsize=None)

@@ -65,7 +65,8 @@ def test_chunking_and_workers_do_not_change_bits():
 
 def test_block_boundaries_same_bits():
     # mixed-sign points with lower-half, on-axis k*pi/tau, near-axis and
-    # far-field (|z| >= 1e8) points at the block edges
+    # far-field (|z| >= 1e8) points at the block edges, one of them in the
+    # lower half-plane with both components above sqrt(DBL_MAX)
     rng = np.random.default_rng(31)
     z = rng.uniform(-10, 10, 3 * BLOCK + 7) + 1j * rng.uniform(-4, 10, 3 * BLOCK + 7)
     step = math.pi / 12.0
@@ -73,7 +74,8 @@ def test_block_boundaries_same_bits():
                2 * BLOCK - 1: 1 - 2j, 2 * BLOCK: 7 * step + 1e-9j,
                3 * BLOCK - 1: 0.1 + 0j, 3 * BLOCK: -2 * step - 1e-12j,
                3 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j,
-               BLOCK + 1: -3e8 + 1e8j, 2 * BLOCK + 1: 1e300 - 0.5j}
+               BLOCK + 1: -3e8 + 1e8j, 2 * BLOCK + 1: 1e300 - 0.5j,
+               BLOCK - 2: 1e200 - 1e199j}
     for i, v in special.items():
         z[i] = v
     checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
@@ -282,7 +284,8 @@ def test_domain_bound_at_large_z(tau_m, preset, gate):
     # there on, computed without overflow, even where wofz returns 0.  The
     # points include those on either side of the former range bound
     # sqrt(DBL_MAX)/(2*tau_m) and the lower half-plane points whose
-    # exp(-z^2) underflows
+    # exp(-z^2) underflows, also where both components exceed
+    # sqrt(DBL_MAX) = 1.34e154 and z*z would overflow
     from scipy.special import wofz
     bound = math.sqrt(sys.float_info.max) / (2.0 * tau_m)
     r = np.nextafter(bound, 0.0)
@@ -302,7 +305,8 @@ def test_domain_bound_at_large_z(tau_m, preset, gate):
         wide + 0j, wide * 1j, wide * (1 + 1j), -wide + wide * 1j,
         [complex(sx * big, sy * big) for sx in (1, -1) for sy in (0, 1)],
         [big * 1j, complex(big, 1.0), complex(-big, 1.0), complex(1.0, big),
-         complex(big, -1.0), complex(-big, -0.5)]])
+         complex(big, -1.0), complex(-big, -0.5)],
+        [1e200 - 1e199j, -1e300 - 1e299j, 1.79e308 - 1e308j]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         w_series = vk.eval_batch(series, preset.params)
@@ -312,3 +316,7 @@ def test_domain_bound_at_large_z(tau_m, preset, gate):
     assert (np.abs(w_series - ref) / np.abs(ref) <= gate).all()
     ref = np.array([_asymptote(z) for z in far])
     assert (np.abs(w_far - ref) / np.abs(ref) <= gate).all()
+    # beyond sqrt(DBL_MAX), exp(-z^2) still overflows where |Im z| > |Re z|
+    with pytest.raises(ReflectionOverflowError) as err:
+        vk.eval_batch(np.array([1 + 1j, 1e199 - 1e200j]), preset.params)
+    assert err.value.index == 1
