@@ -16,6 +16,7 @@ wall times).  Relative ``--output`` paths are resolved against
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -150,10 +151,7 @@ def _cmd_bench(args) -> int:
             degree=args.degree, workers=args.workers)
         if name == "eq3" and not args.no_exp_fraction:
             frac = bench_mod.exp_time_fraction(zs, params, repeats=args.repeats)
-            rec = bench_mod.BenchRecord(
-                impl=rec.impl, size=rec.size, repeats=rec.repeats,
-                median_seconds=rec.median_seconds, throughput=rec.throughput,
-                exp_fraction=frac)
+            rec = dataclasses.replace(rec, exp_fraction=frac)
         records.append(rec)
     _write_text(args.output, bench_mod.records_to_csv(records))
     return 0

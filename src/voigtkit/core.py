@@ -14,13 +14,14 @@ Two algebraically equivalent forms are provided:
   refuses inputs within GUARD_RADIUS of its removable 0/0 singularities.
 * :func:`eval_eq3` -- the production form.  Collapsing the +n/-n term pairs
   leaves a single exponential B = exp(i*tau_m*z) per point plus a short sum
-  of rational terms, evaluated in float64 real arithmetic: B from one
-  tangent and one expm1 pass, and one real division per term for the
-  shared denominator n^2 pi^2 - (tau_m*z)^2.  Every point runs the same
-  loop; term n is replaced by its truncated-series limit only at the points
-  within _PATCH_RADIUS of the removable singularity tau_m*z = +-n*pi
-  (likewise i*(1 - B)/A near 0).  One locator, ``_singular``, finds these
-  points for both forms.
+  of rational terms: B from one tangent and one expm1 pass, a real term
+  table with one real division per term for the shared denominator
+  n^2 pi^2 - (tau_m*z)^2, and a complex closing that combines the two sums
+  with B and tau_m*z, one complex ufunc per product.  Every point runs the
+  same loop; term n is replaced by its truncated-series limit only at the
+  points within _PATCH_RADIUS of the removable singularity
+  tau_m*z = +-n*pi (likewise i*(1 - B)/A near 0).  One locator,
+  ``_singular``, finds these points for both forms.
 
 Both forms return the asymptote i/(sqrt(pi)*z) for |z| >= _FAR, so every
 finite input in the closed upper half-plane yields a finite value.
@@ -84,8 +85,8 @@ GUARD_RADIUS = 1e-6
 _PATCH_RADIUS = 1e-3
 
 #: Points per block of batch evaluation.  A block's scratch (half a term
-#: table and 16 rows: 2.5 MiB at HIGH) overflows a 2 MiB L2, but halving the
-#: block doubles the per-point share of its ~100 numpy calls: at 2^20
+#: table and 17 rows: 2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the
+#: block doubles the per-point share of its ~80 numpy calls: at 2^20
 #: points (2-core Xeon, numpy 2.4) blocks of 8192 measured fastest, 16384 as
 #: fast with twice the scratch, 4096 17% and 2048 34% slower.
 _BLOCK = 8192
@@ -290,7 +291,7 @@ def _exp_pass(A, out):
 
 def _singular(A, n_max, radius=GUARD_RADIUS):
     """Elements of A within ``radius`` of s*k*pi for 0 <= k <= n_max:
-    their indices (ascending), k and sign s = +-1.0."""
+    their indices (ascending), k (as intp) and sign s = +-1.0."""
     idx = np.flatnonzero(np.abs(A.imag) < radius)         # |A - s*k*pi| >= |Im A|
     if not idx.size:
         return idx, idx, idx
@@ -298,7 +299,7 @@ def _singular(A, n_max, radius=GUARD_RADIUS):
     k = np.rint(np.abs(Ac.real) / _PI)                    # nearest k*pi
     s = np.where(Ac.real >= 0.0, 1.0, -1.0)
     hit = (k <= n_max) & (np.abs(Ac - s * k * _PI) < radius)
-    return idx[hit], k[hit], s[hit]
+    return idx[hit], k[hit].astype(np.intp), s[hit]
 
 
 @lru_cache(maxsize=None)
@@ -325,19 +326,20 @@ def _tree_sum(T, count):
 
 
 def _w_upper(z, params, out):
-    """Single-exponential form over the closed upper half-plane (1-D input)
-    in float64 real arithmetic, written to ``out``.  With A = tau_m*z,
-    C = A^2 and B = exp(iA),
+    """Single-exponential form over the closed upper half-plane (1-D input),
+    written to ``out``.  With A = tau_m*z, C = A^2 and B = exp(iA),
 
         w = i*(1 - B)/A + i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even),
-        S_even = sum a_n/(n^2 pi^2 - C),  S_alt = sum (-1)^n a_n/(n^2 pi^2 - C),
+        S_even = sum a_n/(n^2 pi^2 - C),  S_alt = sum (-1)^n a_n/(n^2 pi^2 - C).
 
-    and a_n/(n^2 pi^2 - C) = a_n*(d_n + i Im C)/(d_n^2 + (Im C)^2) with
-    d_n = n^2 pi^2 - Re C: one real division per term.  The odd and the
-    even terms each fill a (terms x points) table; for |z| < _FAR the
-    squares stay in binary64 range.  A sparse patch: at
-    the points ``_singular`` places within _PATCH_RADIUS of +-n*pi, term n
-    gets zero weight in the sums and its series limit is added to
+    The term table is real: a_n/(n^2 pi^2 - C) = a_n*(d_n + i Im C)/(d_n^2 +
+    (Im C)^2) with d_n = n^2 pi^2 - Re C, one real division per term.  The
+    odd and the even terms each fill a (terms x points) table; for
+    |z| < _FAR the squares stay in binary64 range.  The closing is complex:
+    the two sums become S_alt and S_even, and the three products and the
+    quotient above are one complex ufunc each.  A sparse patch: at the
+    points ``_singular`` places within _PATCH_RADIUS of +-n*pi, term n gets
+    zero weight in the sums and its series limit is added to
     B*S_alt - S_even; within _PATCH_RADIUS of 0, i*(1 - B)/A is replaced by
     its limit."""
     a = params.coefficients
@@ -345,28 +347,25 @@ def _w_upper(z, params, out):
     m = z.size
     half = (nt + 1) // 2
     T = np.empty((2, half, m))                     # T[0]: Re weights, T[1]: Im weights
-    rows = np.empty((16, m))                       # two rows hold one complex array
-    A = rows[0:2].reshape(-1).view(np.complex128)
-    B = rows[2:4].reshape(-1).view(np.complex128)
-    P = rows[4:8].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
-    m2, cr, ci, sq, r1, r2, u, v = rows[8:]
+    rows = np.empty((7, m))
+    P = rows[0:4].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
+    cr, ci, sq = rows[4:]
+    A, B, S_alt, S_even, U = np.empty((5, m), np.complex128)
     np.multiply(z, params.tau_m, out=A)
     _, pr = _exp_pass(A, out=B)                    # pr = Re(1 - B)
     hit, k, sign = _singular(A, nt, _PATCH_RADIUS)
     z0 = j = hit                                   # hits near 0, near +-kk*pi
     if hit.size:
         on = k >= 1
-        z0, j, kk, sg = hit[~on], hit[on], k[on].astype(np.intp), sign[on]
+        z0, j, kk, sg = hit[~on], hit[on], k[on], sign[on]
     ar, ai = A.real, A.imag
-    br, bi = B.real, B.imag
     np.square(ar, out=cr)
     np.square(ai, out=sq)
-    np.add(cr, sq, out=m2)                      # |A|^2
     cr -= sq                                    # Re C
     np.multiply(ar, ai, out=ci)
     ci += ci                                    # Im C
     np.square(ci, out=sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for p, (n, npi2) in enumerate(_parity_terms(nt)):
             Tp = T[:, :n.size]
             np.subtract(npi2, cr, out=Tp[0])                # d_n
@@ -380,52 +379,28 @@ def _w_upper(z, params, out):
             _tree_sum(Tp, n.size)
             P[p] = Tp[:, 0] if n.size else 0.0
         (ov, o_i), (ev, e_i) = P
-        np.subtract(ev, ov, out=r1)             # S_alt = r1 + i*r2
-        np.subtract(e_i, o_i, out=r2)
-        r2 *= ci
-        ev += ov                                # S_even = ev + i*e_i
-        e_i += o_i
-        e_i *= ci
-        np.multiply(br, r1, out=u)              # B*S_alt - S_even = u + i*v
-        np.multiply(bi, r2, out=sq)
-        u -= sq
-        u -= ev
-        np.multiply(br, r2, out=v)
-        np.multiply(bi, r1, out=sq)
-        v += sq
-        v -= e_i
+        np.subtract(ev, ov, out=S_alt.real)
+        np.subtract(e_i, o_i, out=S_alt.imag)
+        S_alt.imag *= ci
+        np.add(ev, ov, out=S_even.real)
+        np.add(e_i, o_i, out=S_even.imag)
+        S_even.imag *= ci
+        np.multiply(B, S_alt, out=U)
+        U -= S_even                             # B*S_alt - S_even
         if j.size:
             npi = kk * _PI
             d = A[j] - sg * npi
             # a_n*((-1)^n e^{iA} - 1)/(n^2 pi^2 - A^2)
             #   == -sg*a_n*(e^{id} - 1)/d / (2 n pi + sg d),  d = A - sg n pi
-            lim = ((-sg * a[kk] * 1j) * _series_ratio_p4(1j * d)
-                   / (2.0 * npi + sg * d))
-            u[j] += lim.real
-            v[j] += lim.imag
-        c = -params.tau_m / _SQRT_PI
-        np.multiply(ai, v, out=out.imag)        # i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even)
-        np.multiply(ar, u, out=sq)
-        out.imag -= sq
-        out.imag *= c
-        np.multiply(ar, v, out=out.real)
-        np.multiply(ai, u, out=sq)
-        out.real += sq
-        out.real *= c
-        np.multiply(pr, ai, out=u)              # i*(1 - B)/A = i*(1 - B)*conj(A)/|A|^2
-        np.multiply(bi, ar, out=sq)
-        u += sq
-        u /= m2
-        np.multiply(pr, ar, out=v)
-        np.multiply(bi, ai, out=sq)
-        v -= sq
-        v /= m2
+            U[j] += ((-sg * a[kk] * 1j) * _series_ratio_p4(1j * d)
+                     / (2.0 * npi + sg * d))
+        np.multiply(A, U, out=S_alt)            # S_alt's row is free from here
+        np.multiply(S_alt, 1j * params.tau_m / _SQRT_PI, out=out)
+        S_even.real, S_even.imag = B.imag, pr   # i*(1 - B)
+        np.divide(S_even, A, out=U)             # overflows at |A| < 1/DBL_MAX: patched
         if z0.size:
-            f0 = _series_ratio_p4(1j * A[z0])                # i*(1-e^{iA})/A limit
-            u[z0] = f0.real
-            v[z0] = f0.imag
-        out.real += u
-        out.imag += v
+            U[z0] = _series_ratio_p4(1j * A[z0])             # i*(1-e^{iA})/A limit
+        out += U
     return out
 
 

@@ -249,8 +249,11 @@ def _oracle_cached(x: float, y: float, digits: int):
     if y >= 0.0:
         w = _w_upper_mp(x, y, digits)
     else:
-        # exact reflection w(z) = 2*exp(-z^2) - w(-z); no overflow in mpmath
-        with mp.workdps(digits + 12 + int(0.9 * y * y)):
+        # exact reflection w(z) = 2*exp(-z^2) - w(-z); no overflow in mpmath.
+        # 2*log10|z| extra digits keep -z^2, and so the phase of exp(-z^2),
+        # exact to digits + 12
+        pad = 2 * math.ceil(math.log10(max(1.0, math.hypot(x, y))))
+        with mp.workdps(digits + 12 + pad):
             z = mp.mpc(x, y)
             w = 2 * mp.exp(-z * z) - _w_upper_mp(-x, -y, digits)
     with mp.workdps(digits):

@@ -8,9 +8,10 @@ polynomial in the Moebius variable Z = (L + i*z)/(L - i*z).
 
 Per-element cost is a fixed-length Horner recurrence, independent of z,
 which makes this the standard fast baseline for speed/accuracy comparisons
-against the Fourier-series evaluator.  Batch evaluation uses the same
-in-place array discipline as the core kernel so timing comparisons isolate
-algorithmic cost rather than memory strategy.
+against the Fourier-series evaluator.  Batch evaluation is not blocked:
+the kernel holds five full-size complex temporaries, while the core
+evaluator works in blocks of 8192 points, so once the input outgrows the
+caches a timing comparison also measures this difference in memory traffic.
 """
 
 from __future__ import annotations

@@ -269,6 +269,19 @@ def test_guard_edge_bands_near_k_pi_in_gate():
     assert (np.abs(w - wofz(z)) / np.abs(wofz(z)) <= 1e-10).all()
 
 
+@pytest.mark.parametrize("preset,gate", [(vk.Preset.HIGH, 1e-10), (vk.Preset.FAST, 1e-5)])
+def test_tiny_z_in_gate_without_warnings(preset, gate):
+    # at |tau*z| below 1/DBL_MAX, (1 - B)/A overflows before the patch near
+    # 0 replaces it; no warning may escape
+    from scipy.special import wofz
+    z = np.array([0, 1e-300j, 5e-324, -5e-324j, 1e-160 * (1 + 1j), -1e-200 * (1 + 1j), 1e-17])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = vk.eval_batch(z, preset.params)
+    ref = wofz(z)
+    assert (np.abs(w - ref) / np.abs(ref) <= gate).all()
+
+
 def _asymptote(z: complex) -> complex:
     """i/(sqrt(pi)*z) in exact rational arithmetic, correctly rounded."""
     x, y = Fraction(z.real), Fraction(z.imag)

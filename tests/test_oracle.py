@@ -80,6 +80,20 @@ def test_lower_half_plane_reflection():
         assert rel_mp(w, ref) <= 1e-26
 
 
+def test_lower_half_plane_far_from_origin():
+    # the reflection pads its working precision by 2*log10|z| digits, so
+    # these cold calls return at once; a 30-digit value agrees with a
+    # 60-digit one and with mpmath's own erfc
+    for z in (400 - 400j, (1e4 + 0.37) * (1 - 1j), (1.23e8 + 0.37) * (1 - 1j)):
+        w30 = vk.oracle_w(z, 30)
+        w60 = vk.oracle_w(z, 60)
+        with mp.workdps(60):
+            zz = mp.mpc(z)
+            ref = mp.exp(-zz * zz) * mp.erfc(-1j * zz)
+            assert rel_mp(w30, w60) <= 1e-26, f"at z = {z}"
+            assert rel_mp(w60, ref) <= 1e-56, f"at z = {z}"
+
+
 def test_rejects_non_finite():
     with pytest.raises(DomainError):
         vk.oracle_w(complex(math.inf, 0.0))
