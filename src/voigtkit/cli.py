@@ -64,6 +64,12 @@ def _write_bytes(arg: str, data: bytes) -> None:
             fh.write(data)
 
 
+def _write_rows(arg: str, header: str, rows) -> None:
+    """CSV lines of repr-formatted numbers under a header line."""
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    _write_text(arg, "\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -81,28 +87,18 @@ def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n)
 
 
-def _grid_table(xs, ys, params):
-    pts = oracle.GridSpec(x_values=xs, y_values=ys).points()
-    w = core.eval_batch(pts, params)
-    return pts, w
-
-
 def _cmd_grid(args) -> int:
     xs = _grid_axis(args.x_min, args.x_max, args.x_step)
     ys = np.array([float(t) for t in args.y_list.split(",")])
-    pts, w = _grid_table(xs, ys, _preset(args.preset))
+    pts = oracle.GridSpec(x_values=xs, y_values=ys).points()
+    w = core.eval_batch(pts, _preset(args.preset))
+    table = np.column_stack([pts.real, pts.imag, w.real, w.imag])
     if args.format == "csv":
-        lines = ["x,y,re_w,im_w"]
-        lines += [f"{float(p.real)!r},{float(p.imag)!r},{float(v.real)!r},{float(v.imag)!r}"
-                  for p, v in zip(pts, w)]
-        _write_text(args.output, "\n".join(lines) + "\n")
+        _write_rows(args.output, "x,y,re_w,im_w", table.tolist())
     elif args.format == "json":
-        rows = [[float(p.real), float(p.imag), float(v.real), float(v.imag)]
-                for p, v in zip(pts, w)]
-        doc = {"columns": ["x", "y", "re_w", "im_w"], "rows": rows}
+        doc = {"columns": ["x", "y", "re_w", "im_w"], "rows": table.tolist()}
         _write_text(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:  # raw_f64: little-endian f8, interleaved (x, y, re_w, im_w)
-        table = np.column_stack([pts.real, pts.imag, w.real, w.imag])
         _write_bytes(args.output, table.astype("<f8").tobytes())
     return 0
 
@@ -159,9 +155,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     params = core.fourier_coefficients(args.tau_m, args.n)
-    lines = ["n,a_n"]
-    lines += [f"{n},{float(c)!r}" for n, c in enumerate(params.coefficients)]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_rows(args.output, "n,a_n", enumerate(params.coefficients.tolist()))
     return 0
 
 
@@ -171,9 +165,7 @@ def _cmd_voigt(args) -> int:
                           lorentz_hwhm=args.lorentz_hwhm)
     nu = _grid_axis(args.nu_min, args.nu_max, args.nu_step)
     prof = core.voigt_profile(nu, line, _preset(args.preset))
-    lines = ["nu,value"]
-    lines += [f"{float(v)!r},{float(p)!r}" for v, p in zip(nu, prof)]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_rows(args.output, "nu,value", zip(nu.tolist(), prof.tolist()))
     return 0
 
 
@@ -216,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="scan an implementation against the oracle")
     p.add_argument("--impl", choices=["eq1", "eq3", "weideman"], required=True)
     add_preset(p)
-    p.add_argument("--digits", type=int, default=30, help="oracle precision")
+    p.add_argument("--digits", type=int, default=oracle.OracleConfig().digits,
+                   help="oracle precision")
     p.add_argument("--grid", default="default",
                    help="'default' or a JSON file with x_values/y_values")
     p.add_argument("--degree", type=int, default=weideman.DEFAULT_DEGREE,

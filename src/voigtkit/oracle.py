@@ -17,6 +17,10 @@ any radius.  In the overlap band 3 <= |z| <= 5 with Im z >= 1 both routes
 run and must agree at the certified tolerance; near-axis band points are
 certified by re-running the series at higher precision instead.
 
+Real-axis points take the series route like any near-axis point, and it
+is exact there componentwise: -zeta^2 = x^2 is real, so Re erf(zeta) stays
+exactly zero and Re w = exp(-x^2) keeps full relative precision.
+
 The oracle trades speed for certainty everywhere: it is never benchmarked.
 """
 
@@ -114,7 +118,10 @@ def _w_series(x: float, y: float, digits: int):
     """w(z) = exp(-z^2)*(1 - erf(zeta)), zeta = -i*z, erf by Taylor series.
 
     The padding covers the worst cancellation, which grows like exp(2*y^2)
-    when the result is dominated by the erf(zeta) ~ 1 regime.
+    when the result is dominated by the erf(zeta) ~ 1 regime.  At y = 0 the
+    terms are purely imaginary with all-positive magnitudes (the erfi
+    series), so Re w = exp(-x^2) and Im w = exp(-x^2)*erfi(x) each keep
+    full relative precision.
     """
     pad = int(0.9 * y * y) + 12
     with mp.workdps(digits + pad):
@@ -140,36 +147,6 @@ def _w_series(x: float, y: float, digits: int):
                     f"{complex(x, y)!r}")
         erf = total * 2 / mp.sqrt(mp.pi)
         return mp.exp(-z * z) * (1 - erf)
-
-
-def _w_real_axis(x: float, digits: int):
-    """w(x + 0i) = exp(-x^2) + i*exp(-x^2)*erfi(x).
-
-    Both components carry full relative precision: the erfi series has
-    all-positive terms (no cancellation), which the general routes cannot
-    deliver for the exponentially small real part at large |x|.
-    """
-    with mp.workdps(digits + 10):
-        xm = mp.mpf(x)
-        x2 = xm * xm
-        term = xm                       # x^(2k+1)/k!
-        total = xm                      # sum of term/(2k+1)
-        tol = mp.mpf(10) ** (-(digits + 8))
-        cap = 100 * digits + int(4 * x * x) + 1000
-        k = 0
-        while True:
-            k += 1
-            term = term * x2 / k
-            inc = term / (2 * k + 1)
-            total += inc
-            if k > x * x and abs(inc) <= tol * abs(total) + tol:
-                break
-            if k > cap:
-                raise OracleConvergenceError(
-                    f"real-axis series did not converge within {cap} terms at x = {x!r}")
-        erfi = total * 2 / mp.sqrt(mp.pi)
-        gauss = mp.exp(-x2)
-        return mp.mpc(gauss, gauss * erfi)
 
 
 def _w_continued_fraction(x: float, y: float, digits: int):
@@ -213,8 +190,6 @@ def _agree(wa, wb, digits: int) -> bool:
 
 def _w_upper_mp(x: float, y: float, digits: int):
     """Route dispatch for Im z >= 0."""
-    if y == 0.0:
-        return _w_real_axis(x, digits)
     r = math.hypot(x, y)
     if r <= _SERIES_MAX_RADIUS:
         return _w_series(x, y, digits)

@@ -63,12 +63,19 @@ def test_conjugation_symmetry():
 
 
 def test_real_axis_identity_componentwise():
-    # Re w(x) = exp(-x^2) with full relative precision out to |x| = 10
-    for x in (0.0, 0.5, 1.0, 2.0, math.pi, 5.0, 7.5, 10.0, -10.0):
+    # Re w(x) = exp(-x^2) and Im w(x) = exp(-x^2)*erfi(x), each with full
+    # relative precision, in the 3 < |x| < 5 recheck band and beyond |x| = 10
+    for x in (0.0, 0.5, 1.0, 2.0, 3.0, math.pi, 4.0, -4.0, 5.0, 7.5, 10.0,
+              -10.0, 26.6, -38.0):
         w = vk.oracle_w(complex(x, 0.0), 30)
         with mp.workdps(60):
-            ref = mp.exp(-mp.mpf(x) ** 2)
-            assert float(abs(w.real - ref) / ref) <= 1e-26, f"at x = {x}"
+            gauss = mp.exp(-mp.mpf(x) ** 2)
+            assert float(abs(w.real - gauss) / gauss) <= 1e-26, f"at x = {x}"
+            if x == 0.0:
+                assert w.imag == 0
+            else:
+                ref = gauss * mp.erfi(x)
+                assert float(abs(w.imag - ref) / abs(ref)) <= 1e-26, f"at x = {x}"
 
 
 def test_lower_half_plane_reflection():
