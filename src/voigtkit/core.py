@@ -26,16 +26,21 @@ Two algebraically equivalent forms are provided:
 Both forms return the asymptote i/(sqrt(pi)*z) for |z| >= _FAR, so every
 finite input in the closed upper half-plane yields a finite value.
 
+:func:`eval_batch` (so also eval_w, voigt_function and voigt_profile) runs
+eq3's kernel only for |z| < _R_GH = 7; up to _FAR it takes the 12-point
+Gauss-Hermite quadrature w = (i/pi)*sum_k H_k/(z - t_k) (Humlicek's region
+I, JQSRT 27 (1982) 437, is its 2-point case), as accurate there at a
+quarter of the cost.  eval_eq3 and eval_eq1 stay the pure series forms.
+
 All batch evaluation runs through one block path, ``_evaluate``: each
-block of ``_BLOCK`` consecutive points is folded into the upper half-plane,
-goes through the series form (eq3's kernel or eq1's raw series), gets the
-asymptote at its far points and the reflection at its lower half-plane
-points, in a scratch buffer of its own, so the working arrays stay
-cache-sized and peak memory is the output plus a few blocks.  Each block
-makes one transcendental pass for B, plus exp(-z^2) for its lower
-half-plane points.  All evaluators are elementwise, so batch output
-is bitwise identical to a scalar sweep (a 1-element batch) and independent
-of blocks and threads.
+block of ``_BLOCK`` consecutive points (``2*_BLOCK`` on threads) is folded
+into the upper half-plane, split by |z| into series, quadrature and
+asymptote points, and its lower half-plane points then take the
+reflection, in a scratch buffer of its own, so peak memory is the output
+plus a few blocks.  Each block makes one transcendental pass for B over
+its series points, plus exp(-z^2) for its lower half-plane points.  All
+evaluators are elementwise, so batch output is bitwise identical to a
+scalar sweep (a 1-element batch) and independent of blocks and threads.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -84,11 +89,13 @@ GUARD_RADIUS = 1e-6
 #: scipy.special.wofz at |d| = 1e-3).
 _PATCH_RADIUS = 1e-3
 
-#: Points per block of batch evaluation.  A block's scratch (half a term
-#: table and 17 rows: 2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the
-#: block doubles the per-point share of its ~80 numpy calls: at 2^20
-#: points (2-core Xeon, numpy 2.4) blocks of 8192 measured fastest, 16384 as
-#: fast with twice the scratch, 4096 17% and 2048 34% slower.
+#: Points per block of single-thread batch evaluation.  A block's scratch
+#: (2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the block doubles
+#: the per-point share of its ~110 numpy calls: at 2^20 points (2-core
+#: Xeon, numpy 2.4) 8192 measured fastest, 4096 17% slower.  Threads take
+#: blocks of 2*_BLOCK, as each numpy call hands over the interpreter lock:
+#: at 2^21 points 2 threads ran at 5.6 Mpt/s on blocks of 8192 (1 thread:
+#: 5.7) and at 8.5 on blocks of 16384.
 _BLOCK = 8192
 
 #: From |z| >= _FAR on, w(z) = i/(sqrt(pi)*z)*(1 + O(z^-2)) is taken as it
@@ -97,6 +104,12 @@ _BLOCK = 8192
 #: for tau_m < _TAU_MAX.
 _FAR = 1e8
 _TAU_MAX = 1e60
+
+#: eval_batch's quadrature region _R_GH <= |z| < _FAR: 2.3e-15 against
+#: mpmath on 3000 points; the presets' singular points k*pi/tau_m
+#: (|z| <= 6.02) all lie below it.
+_R_GH = 7.0
+_GH_NODES = 12
 
 #: Below doppler_hwhm < LORENTZ_FALLBACK_RATIO * lorentz_hwhm the profile
 #: degenerates to a closed-form Lorentzian (the dimensionless y would overflow).
@@ -405,14 +418,16 @@ def _w_upper(z, params, out):
 
 
 def _blocked(n: int, run, workers: int = 1) -> None:
-    """Call ``run(lo, hi)`` on consecutive blocks of ``_BLOCK`` points
-    covering range(n).  ``workers`` threads take the blocks in order; an
-    input of one block, or ``workers <= 1``, runs inline.  The exception
-    that propagates is that of the lowest block that raised."""
-    starts = range(0, n, _BLOCK)
+    """Call ``run(lo, hi)`` on consecutive blocks covering range(n): of
+    ``_BLOCK`` points inline, of ``2*_BLOCK`` when ``workers`` threads take
+    them in order.  An input of one block, or ``workers <= 1``, runs
+    inline.  The exception that propagates is that of the lowest block
+    that raised."""
+    size = _BLOCK if workers <= 1 else 2 * _BLOCK
+    starts = range(0, n, size)
 
     def one(lo):
-        run(lo, min(lo + _BLOCK, n))
+        run(lo, min(lo + size, n))
 
     if workers <= 1 or len(starts) <= 1:
         for lo in starts:
@@ -423,13 +438,56 @@ def _blocked(n: int, run, workers: int = 1) -> None:
             pass
 
 
-def _evaluate(z: np.ndarray, series, workers: int = 1) -> np.ndarray:
+def _gh_table(n_nodes: int) -> np.ndarray:
+    """Numerator (row 0) and denominator (row 1) coefficients of the
+    ``n_nodes``-point Gauss-Hermite quadrature of w, highest power first.
+
+    The quadrature (i/pi)*sum_k H_k/(z - t_k), summed over the +-t pairs,
+    is u*N(v)/D(v) with u = 1/z, v = u^2, D(v) = prod (1 - t_k^2 v) and
+    N(v) = (2i/pi)*sum_k H_k*prod_{j != k} (1 - t_j^2 v), over the positive
+    nodes; N(0) = i/sqrt(pi), the leading term of w at infinity."""
+    t, h = np.polynomial.hermite.hermgauss(n_nodes)
+    P = np.polynomial.polynomial
+    factors = [np.array([1.0, -tk * tk]) for tk in t[t > 0.0]]
+    table = np.zeros((2, len(factors) + 1), np.complex128)
+    table[1] = reduce(P.polymul, factors)
+    for k, hk in enumerate(h[t > 0.0]):
+        rest = reduce(P.polymul, factors[:k] + factors[k + 1:], 1.0)
+        table[0, :rest.size] += hk * rest
+    table[0] *= 2j / _PI
+    table = table[:, ::-1].copy()
+    table.setflags(write=False)
+    return table
+
+
+_GH_TABLE = _gh_table(_GH_NODES)
+
+
+def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
+    """w at |z| >= _R_GH in the closed upper half-plane (1-D input): the
+    Gauss-Hermite quadrature u*N(v)/D(v) of ``_GH_TABLE``, with N and D
+    from one Horner loop over a (2, m) array."""
+    u = np.divide(1.0, z)
+    v = np.multiply(u, u)
+    c = _GH_TABLE
+    R, T = np.empty((2, 2, z.size), np.complex128)
+    R[:] = c[:, :1]
+    for k in range(1, c.shape[1]):
+        np.multiply(R, v, out=T)
+        np.add(T, c[:, k:k + 1], out=R)
+    np.multiply(u, R[0], out=T[0])
+    return np.divide(T[0], R[1], out=T[1])
+
+
+def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndarray:
     """w over the validated flat array ``z``, block by block: the one block
-    path of all three series evaluators.  Each block is folded into the
-    closed upper half-plane (-z for Im z < 0) in one copy, in which the
-    points with |z| >= _FAR are set to i; ``series(zs, out, lo)`` writes the
-    block starting at index ``lo``, the far points then get i/(sqrt(pi)*z),
-    and lower half-plane points take w(z) = 2*exp(-z^2) - w(-z)."""
+    path of all three batch evaluators.  Each block is folded into the
+    closed upper half-plane (-z for Im z < 0) in one copy and split by |z|:
+    ``series(zs, out, at)`` writes the points with |z| < ``radius``
+    (gathered if the block has others; ``at(i)`` is the input index of
+    point i), those up to _FAR take the Gauss-Hermite quadrature, the rest
+    i/(sqrt(pi)*z), and lower half-plane points then take
+    w(z) = 2*exp(-z^2) - w(-z).  The series forms pass ``radius = _FAR``."""
     out = np.empty_like(z)
 
     def run(lo, hi):
@@ -437,16 +495,28 @@ def _evaluate(z: np.ndarray, series, workers: int = 1) -> np.ndarray:
         neg = zb.imag < 0.0
         zs = np.where(neg, -zb, zb)
         with np.errstate(over="ignore"):
-            far = np.flatnonzero(zs.real * zs.real + zs.imag * zs.imag >= _FAR * _FAR)
-        x, y = zs.real[far], zs.imag[far]
-        zs[far] = 1j
-        series(zs, w, lo)
-        if far.size:
-            # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
-            s = np.maximum(np.abs(x), np.abs(y))
-            x, y = x / s, y / s
-            g = (1.0 / _SQRT_PI) / (x * x + y * y)
-            w.real[far], w.imag[far] = y * g / s, x * g / s
+            r2 = zs.real * zs.real + zs.imag * zs.imag
+        inner = r2 < radius * radius
+        near = np.flatnonzero(inner)
+        if near.size == zs.size:
+            series(zs, w, lambda i: lo + i)
+        else:
+            if near.size:
+                wn = np.empty(near.size, np.complex128)
+                series(zs[near], wn, lambda i: lo + int(near[i]))
+                w[near] = wn
+            outer = np.flatnonzero(~inner)
+            at_far = r2[outer] >= _FAR * _FAR
+            gh, far = outer[~at_far], outer[at_far]
+            if gh.size:
+                w[gh] = _w_gauss_hermite(zs[gh])
+            if far.size:
+                # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
+                x, y = zs.real[far], zs.imag[far]
+                s = np.maximum(np.abs(x), np.abs(y))
+                x, y = x / s, y / s
+                g = (1.0 / _SQRT_PI) / (x * x + y * y)
+                w.real[far], w.imag[far] = y * g / s, x * g / s
         idx = np.flatnonzero(neg)
         if not idx.size:
             return
@@ -493,7 +563,7 @@ def eval_eq3_batch(zs, params=None) -> np.ndarray:
     sweep and independent of block boundaries."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq3")
-    return _evaluate(flat, lambda z, o, lo: _w_upper(z, params, o)).reshape(shape)
+    return _evaluate(flat, lambda z, o, at: _w_upper(z, params, o), _FAR).reshape(shape)
 
 
 def eval_eq1(z, params=None) -> complex:
@@ -521,11 +591,11 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
     flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
 
-    def series(z, out, lo):
+    def series(z, out, at):
         A = z * tau
         hit, k, _ = _singular(A, params.n_terms)
         if hit.size:
-            i = lo + int(hit[0])
+            i = at(int(hit[0]))
             raise DomainError(
                 f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
                 f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
@@ -539,14 +609,15 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
         S -= a[0] * (1.0 - np.exp(1j * A)) / z
         np.multiply(S, 1j / (2.0 * _SQRT_PI), out=out)
 
-    return _evaluate(flat, series).reshape(shape)
+    return _evaluate(flat, series, _FAR).reshape(shape)
 
 
 def eval_w(z, params=None) -> complex:
     """Faddeeva function on the full complex plane.
 
-    Im z >= 0 evaluates the production form directly (the asymptote
-    i/(sqrt(pi)*z) from |z| >= 1e8 on); Im z < 0 uses the exact reflection
+    Im z >= 0 evaluates the production form directly for |z| < 7, the
+    12-point Gauss-Hermite quadrature for 7 <= |z| < 1e8 and the asymptote
+    i/(sqrt(pi)*z) from |z| >= 1e8 on; Im z < 0 uses the exact reflection
     w(z) = 2*exp(-z^2) - w(-z).
 
     Raises
@@ -580,7 +651,8 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """
     params = _resolve_params(params)
     flat, shape = _validated(zs)
-    return _evaluate(flat, lambda z, o, lo: _w_upper(z, params, o), workers).reshape(shape)
+    return _evaluate(flat, lambda z, o, at: _w_upper(z, params, o), _R_GH,
+                     workers).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +660,11 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def voigt_function(x: float, y: float, params=None) -> float:
-    """Voigt function K(x, y) = Re w(x + i*y) for y >= 0; errors as
-    :func:`eval_eq3`."""
-    return _scalar_call(eval_eq3_batch, complex(float(x), float(y)), params).real
+    """Voigt function K(x, y) = Re w(x + i*y) for y >= 0, bit for bit
+    Re :func:`eval_batch`; DomainError (``index`` 0) for non-finite x, y
+    or y < 0."""
+    z, _ = _validated(np.array([complex(float(x), float(y))]), "voigt_function")
+    return float(eval_batch(z, params)[0].real)
 
 
 def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:

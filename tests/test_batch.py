@@ -64,24 +64,32 @@ def test_chunking_and_workers_do_not_change_bits():
 
 
 def test_block_boundaries_same_bits():
-    # mixed-sign points with lower-half, on-axis k*pi/tau, near-axis and
-    # far-field (|z| >= 1e8) points at the block edges, one of them in the
-    # lower half-plane with both components above sqrt(DBL_MAX)
+    # mixed-sign points with lower-half, on-axis k*pi/tau, near-axis,
+    # Gauss-Hermite (|z| >= 7) and far-field (|z| >= 1e8) points at the
+    # edges of the single-thread blocks (BLOCK) and of the threaded ones
+    # (2*BLOCK), one of them in the lower half-plane with both components
+    # above sqrt(DBL_MAX)
     rng = np.random.default_rng(31)
-    z = rng.uniform(-10, 10, 3 * BLOCK + 7) + 1j * rng.uniform(-4, 10, 3 * BLOCK + 7)
+    size = 4 * BLOCK + 7
+    z = rng.uniform(-10, 10, size) + 1j * rng.uniform(-4, 10, size)
     step = math.pi / 12.0
+    seven = np.nextafter(7.0, 0.0)
     special = {BLOCK - 1: 3 * step + 0j, BLOCK: -5 * step + 0j,
                2 * BLOCK - 1: 1 - 2j, 2 * BLOCK: 7 * step + 1e-9j,
                3 * BLOCK - 1: 0.1 + 0j, 3 * BLOCK: -2 * step - 1e-12j,
-               3 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j,
+               4 * BLOCK - 1: seven + 0j, 4 * BLOCK: 7j,
+               4 * BLOCK + 6: 1e-9 + 1e-9j, 5: 0j, 17: -7.3 + 0j,
                BLOCK + 1: -3e8 + 1e8j, 2 * BLOCK + 1: 1e300 - 0.5j,
+               2 * BLOCK - 2: -7 - 1e-9j, 2 * BLOCK + 2: complex(0.0, seven),
                BLOCK - 2: 1e200 - 1e199j}
     for i, v in special.items():
         z[i] = v
+    edges = (BLOCK, 2 * BLOCK, 3 * BLOCK, 4 * BLOCK)
     checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
-                                          for e in (BLOCK, 2 * BLOCK, 3 * BLOCK))))
+                                          for e in edges)))
     scalar = np.array([vk.eval_w(z[i]) for i in checked])
-    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7):
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+              4 * BLOCK + 7):
         whole = vk.eval_batch(z[:n])
         idx = [i for i in checked if i < n]
         assert bitwise_equal(whole[idx], scalar[:len(idx)]), n
