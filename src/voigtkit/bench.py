@@ -214,18 +214,18 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
 def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     """Share of total batch-evaluation time spent on the single
     transcendental pass B = exp(i*A): the kernel's own exp pass, run over
-    the kernel's blocks on the points where the kernel runs it, those with
-    |z| < core._R_GH.  The two sides run alternately on the same data,
-    one of each per repeat, and the share is the median of the per-repeat
-    ratios, so that the machine's speed drift cancels."""
+    the kernel's blocks on the points where the kernel runs it, those that
+    ``core._inside`` places within core._R_GH.  The two sides run
+    alternately on the same data, one of each per repeat, and the share is
+    the median of the per-repeat ratios, so that the machine's speed drift
+    cancels."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
         raise DomainError("cannot measure an empty input")
     if repeats < 3:
         raise DomainError(f"repeats must be >= 3, got {repeats!r}")
     params = core._resolve_params(params)
-    near = zs.real * zs.real + zs.imag * zs.imag < core._R_GH * core._R_GH
-    A = zs[near] * params.tau_m
+    A = zs[core._inside(zs, core._R_GH)] * params.tau_m
 
     def exp_pass(a):
         B = np.empty_like(a)

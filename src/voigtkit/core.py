@@ -23,24 +23,24 @@ Two algebraically equivalent forms are provided:
   tau_m*z = +-n*pi (likewise i*(1 - B)/A near 0).  One locator,
   ``_singular``, finds these points for both forms.
 
-Both forms return the asymptote i/(sqrt(pi)*z) for |z| >= _FAR, so every
-finite input in the closed upper half-plane yields a finite value.
-
-:func:`eval_batch` (so also eval_w, voigt_function and voigt_profile) runs
-eq3's kernel only for |z| < _R_GH = 7; up to _FAR it takes the 12-point
-Gauss-Hermite quadrature w = (i/pi)*sum_k H_k/(z - t_k) (Humlicek's region
-I, JQSRT 27 (1982) 437, is its 2-point case), as accurate there at a
-quarter of the cost.  eval_eq3 and eval_eq1 stay the pure series forms.
+Outside the series radius every evaluator takes the 12-point Gauss-Hermite
+quadrature w = (i/pi)*sum_k H_k/(z - t_k) (Humlicek's region I, JQSRT 27
+(1982) 437, is its 2-point case), whose leading term is the asymptote
+i/(sqrt(pi)*z), so every finite input in the closed upper half-plane
+yields a finite value.  :func:`eval_batch` (so also eval_w, voigt_function
+and voigt_profile) runs eq3's kernel only for |z| < _R_GH = 7, where the
+quadrature is as accurate at a quarter of the cost; eval_eq3 and eval_eq1
+stay the pure series forms up to |z| = _FAR = 1e8.
 
 All batch evaluation runs through one block path, ``_evaluate``: each
 block of ``_BLOCK`` consecutive points (``2*_BLOCK`` on threads) is folded
-into the upper half-plane, split by |z| into series, quadrature and
-asymptote points, and its lower half-plane points then take the
-reflection, in a scratch buffer of its own, so peak memory is the output
-plus a few blocks.  Each block makes one transcendental pass for B over
-its series points, plus exp(-z^2) for its lower half-plane points.  All
-evaluators are elementwise, so batch output is bitwise identical to a
-scalar sweep (a 1-element batch) and independent of blocks and threads.
+into the upper half-plane, split by |z| into series and quadrature
+points, and its lower half-plane points then take the reflection, in a
+scratch buffer of its own, so peak memory is the output plus a few
+blocks.  Each block makes one transcendental pass for B over its series
+points, plus exp(-z^2) for its lower half-plane points.  All evaluators
+are elementwise, so batch output is bitwise identical to a scalar sweep
+(a 1-element batch) and independent of blocks and threads.
 """
 
 from __future__ import annotations
@@ -98,15 +98,15 @@ _PATCH_RADIUS = 1e-3
 #: 5.7) and at 8.5 on blocks of 16384.
 _BLOCK = 8192
 
-#: From |z| >= _FAR on, w(z) = i/(sqrt(pi)*z)*(1 + O(z^-2)) is taken as it
-#: stands: its truncation, 1/(2|z|^2) <= 5e-17, is below rounding.  Below
-#: it, (tau_m*z)^4 and so every term of the series stays in binary64 range
-#: for tau_m < _TAU_MAX.
+#: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
+#: they take the quadrature.  Below it, (tau_m*z)^4 and so every term of
+#: the series stays in binary64 range for tau_m < _TAU_MAX; beyond it eq1's
+#: raw terms lose all accuracy to cancellation.
 _FAR = 1e8
 _TAU_MAX = 1e60
 
-#: eval_batch's quadrature region _R_GH <= |z| < _FAR: 2.3e-15 against
-#: mpmath on 3000 points; the presets' singular points k*pi/tau_m
+#: eval_batch's quadrature region |z| >= _R_GH: 2.3e-15 against mpmath on
+#: 3000 points below 1e8; the presets' singular points k*pi/tau_m
 #: (|z| <= 6.02) all lie below it.
 _R_GH = 7.0
 _GH_NODES = 12
@@ -464,10 +464,11 @@ _GH_TABLE = _gh_table(_GH_NODES)
 
 
 def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
-    """w at |z| >= _R_GH in the closed upper half-plane (1-D input): the
-    Gauss-Hermite quadrature u*N(v)/D(v) of ``_GH_TABLE``, with N and D
-    from one Horner loop over a (2, m) array."""
-    u = np.divide(1.0, z)
+    """w outside the series radius in the closed upper half-plane (1-D
+    input): the Gauss-Hermite quadrature u*N(v)/D(v) of ``_GH_TABLE``, N and
+    D from one Horner loop over a (2, m) array.  u = 0.5/(0.5*z) is 1/z
+    bit for bit where that is normal, and its divisor cannot overflow."""
+    u = np.divide(0.5, 0.5 * z)
     v = np.multiply(u, u)
     c = _GH_TABLE
     R, T = np.empty((2, 2, z.size), np.complex128)
@@ -479,24 +480,28 @@ def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
     return np.divide(T[0], R[1], out=T[1])
 
 
+def _inside(z: np.ndarray, radius: float) -> np.ndarray:
+    """|z| < ``radius`` elementwise, from the components, with no warning."""
+    with np.errstate(over="ignore"):
+        return z.real * z.real + z.imag * z.imag < radius * radius
+
+
 def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndarray:
     """w over the validated flat array ``z``, block by block: the one block
     path of all three batch evaluators.  Each block is folded into the
     closed upper half-plane (-z for Im z < 0) in one copy and split by |z|:
     ``series(zs, out, at)`` writes the points with |z| < ``radius``
     (gathered if the block has others; ``at(i)`` is the input index of
-    point i), those up to _FAR take the Gauss-Hermite quadrature, the rest
-    i/(sqrt(pi)*z), and lower half-plane points then take
-    w(z) = 2*exp(-z^2) - w(-z).  The series forms pass ``radius = _FAR``."""
+    point i), the rest take the Gauss-Hermite quadrature, and lower
+    half-plane points then take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch``
+    passes ``radius = _R_GH``, the series forms ``_FAR``."""
     out = np.empty_like(z)
 
     def run(lo, hi):
         zb, w = z[lo:hi], out[lo:hi]
         neg = zb.imag < 0.0
         zs = np.where(neg, -zb, zb)
-        with np.errstate(over="ignore"):
-            r2 = zs.real * zs.real + zs.imag * zs.imag
-        inner = r2 < radius * radius
+        inner = _inside(zs, radius)
         near = np.flatnonzero(inner)
         if near.size == zs.size:
             series(zs, w, lambda i: lo + i)
@@ -506,17 +511,7 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
                 series(zs[near], wn, lambda i: lo + int(near[i]))
                 w[near] = wn
             outer = np.flatnonzero(~inner)
-            at_far = r2[outer] >= _FAR * _FAR
-            gh, far = outer[~at_far], outer[at_far]
-            if gh.size:
-                w[gh] = _w_gauss_hermite(zs[gh])
-            if far.size:
-                # i/z = (y + i*x)/(x^2 + y^2), scaled by s so that nothing overflows
-                x, y = zs.real[far], zs.imag[far]
-                s = np.maximum(np.abs(x), np.abs(y))
-                x, y = x / s, y / s
-                g = (1.0 / _SQRT_PI) / (x * x + y * y)
-                w.real[far], w.imag[far] = y * g / s, x * g / s
+            w[outer] = _w_gauss_hermite(zs[outer])
         idx = np.flatnonzero(neg)
         if not idx.size:
             return
@@ -547,8 +542,8 @@ def eval_eq3(z, params=None) -> complex:
     single-exponential production form.
 
     Removable singularities (tau_m*z near 0 or near +-n*pi) are evaluated by
-    guarded series limits, and |z| >= 1e8 takes the asymptote
-    i/(sqrt(pi)*z), so any finite z with Im z >= 0 yields a finite value.
+    guarded series limits, and |z| >= 1e8 takes the Gauss-Hermite
+    quadrature, so any finite z with Im z >= 0 yields a finite value.
 
     Raises
     ------
@@ -573,7 +568,7 @@ def eval_eq1(z, params=None) -> complex:
     This is the unguarded reference form: arguments with any denominator
     within :data:`GUARD_RADIUS` of zero (tau_m*z near 0 or near +-n*pi) are
     rejected rather than patched.  Like the production form, it takes the
-    asymptote i/(sqrt(pi)*z) from |z| >= 1e8 on, where the raw terms lose
+    Gauss-Hermite quadrature from |z| >= 1e8 on, where the raw terms lose
     all accuracy to cancellation.
 
     Raises
@@ -615,10 +610,9 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
 def eval_w(z, params=None) -> complex:
     """Faddeeva function on the full complex plane.
 
-    Im z >= 0 evaluates the production form directly for |z| < 7, the
-    12-point Gauss-Hermite quadrature for 7 <= |z| < 1e8 and the asymptote
-    i/(sqrt(pi)*z) from |z| >= 1e8 on; Im z < 0 uses the exact reflection
-    w(z) = 2*exp(-z^2) - w(-z).
+    Im z >= 0 evaluates the production form directly for |z| < 7 and the
+    12-point Gauss-Hermite quadrature from |z| >= 7 on, up to components of
+    DBL_MAX; Im z < 0 uses the exact reflection w(z) = 2*exp(-z^2) - w(-z).
 
     Raises
     ------

@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -203,7 +204,7 @@ def test_eq1_batch_matches_scalars(high):
 
 def test_eq1_batch_in_gate_near_axis_at_large_x(high):
     # the raw terms lose all accuracy to cancellation far out near the axis
-    # (2e-7 at |x| ~ 1e11, 1.0 at 1e16); the asymptote from |z| = 1e8 on
+    # (2e-7 at |x| ~ 1e11, 1.0 at 1e16); the quadrature from |z| = 1e8 on
     # keeps eq1 in gate
     from scipy.special import wofz
     rng = np.random.default_rng(1116)
@@ -290,23 +291,37 @@ def test_tiny_z_in_gate_without_warnings(preset, gate):
     assert (np.abs(w - ref) / np.abs(ref) <= gate).all()
 
 
-def _asymptote(z: complex) -> complex:
-    """i/(sqrt(pi)*z) in exact rational arithmetic, correctly rounded."""
-    x, y = Fraction(z.real), Fraction(z.imag)
-    c = Fraction(1.0 / math.sqrt(math.pi)) / (x * x + y * y)
-    return complex(float(y * c), float(x * c))
+def _far_reference(z: complex) -> complex:
+    """i/(sqrt(pi)*z)*(1 + 1/(2z^2)), w's expansion at |z| >= 1e8 to within
+    1e-32 of each component, from 60 digits, each component correctly
+    rounded (exact binary value of the mpf, then Fraction -> float)."""
+    def rounded(v):
+        sign, man, exp, _ = v._mpf_
+        f = Fraction(man) * Fraction(2) ** exp
+        return float(-f if sign else f)
+    with mp.workdps(60):
+        q = mp.mpc(z.real, z.imag)
+        w = 1j / (mp.sqrt(mp.pi) * q) * (1 + 1 / (2 * q * q))
+        return complex(rounded(w.real), rounded(w.imag))
+
+
+def _ulps(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Componentwise distance in units of the spacing at the reference
+    (5e-324 at a zero component)."""
+    return np.maximum(np.abs(w.real - ref.real) / np.spacing(np.abs(ref.real)),
+                      np.abs(w.imag - ref.imag) / np.spacing(np.abs(ref.imag)))
 
 
 @pytest.mark.parametrize("tau_m,preset,gate", [(12.0, vk.Preset.HIGH, 1e-10),
                                                (9.0, vk.Preset.FAST, 1e-5)])
 def test_domain_bound_at_large_z(tau_m, preset, gate):
     # every finite z gets a value up to DBL_MAX, with no RuntimeWarning: the
-    # series below |z| = 1e8, in gate against wofz, and i/(sqrt(pi)*z) from
-    # there on, computed without overflow, even where wofz returns 0.  The
-    # points include those on either side of the former range bound
-    # sqrt(DBL_MAX)/(2*tau_m) and the lower half-plane points whose
-    # exp(-z^2) underflows, also where both components exceed
-    # sqrt(DBL_MAX) = 1.34e154 and z*z would overflow
+    # series below |z| = 1e8, in gate against wofz, and from there on the
+    # Gauss-Hermite quadrature, whatever the preset, within 4 ulp of each
+    # component of w even where wofz returns 0.  The points include those
+    # on either side of the former range bound sqrt(DBL_MAX)/(2*tau_m) and
+    # the lower half-plane points whose exp(-z^2) underflows, also where
+    # both components exceed sqrt(DBL_MAX) = 1.34e154 and z*z would overflow
     from scipy.special import wofz
     bound = math.sqrt(sys.float_info.max) / (2.0 * tau_m)
     r = np.nextafter(bound, 0.0)
@@ -328,16 +343,46 @@ def test_domain_bound_at_large_z(tau_m, preset, gate):
         [big * 1j, complex(big, 1.0), complex(-big, 1.0), complex(1.0, big),
          complex(big, -1.0), complex(-big, -0.5)],
         [1e200 - 1e199j, -1e300 - 1e299j, 1.79e308 - 1e308j]])
+    up = far[far.imag >= 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         w_series = vk.eval_batch(series, preset.params)
         w_far = vk.eval_batch(far, preset.params)
+        w_eq3 = vk.eval_eq3_batch(up, preset.params)
+        w_eq1 = vk.eval_eq1_batch(up, preset.params)
     ref = wofz(series)
     assert np.isfinite(w_series).all() and np.isfinite(w_far).all()
     assert (np.abs(w_series - ref) / np.abs(ref) <= gate).all()
-    ref = np.array([_asymptote(z) for z in far])
-    assert (np.abs(w_far - ref) / np.abs(ref) <= gate).all()
+    ref = np.array([_far_reference(z) for z in far])
+    err = _ulps(w_far, ref)
+    assert err.max() <= 4.0, (err.max(), far[err.argmax()])
+    # one quadrature: the three batch evaluators agree bit for bit
+    assert w_eq3.tobytes() == w_far[far.imag >= 0.0].tobytes()
+    assert w_eq1.tobytes() == w_eq3.tobytes()
     # beyond sqrt(DBL_MAX), exp(-z^2) still overflows where |Im z| > |Re z|
     with pytest.raises(ReflectionOverflowError) as err:
         vk.eval_batch(np.array([1 + 1j, 1e199 - 1e200j]), preset.params)
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("batch,scalar", [(vk.eval_eq3_batch, vk.eval_eq3),
+                                          (vk.eval_eq1_batch, vk.eval_eq1)])
+@pytest.mark.parametrize("preset", [vk.Preset.HIGH, vk.Preset.FAST])
+def test_series_forms_edge_at_far(batch, scalar, preset):
+    # |z| = 1e8 is where the series forms hand over to the quadrature: on
+    # both sides of it, in several directions, a scalar call has the bits of
+    # the batch, the conjugation symmetry w(-conj z) = conj w(z) is exact
+    # (up to the sign of a zero), and no warning escapes
+    below = np.nextafter(1e8, 0.0)
+    z = np.array([r * d / abs(d) for r in (below, 1e8)
+                  for d in (1, 1j, -1, 1 + 1j, -1 + 1j, 1 + 1e-3j, -1 + 1e-3j)]
+                 + [complex(below, 1e-300), complex(1e8, 5e-324), complex(-1e8, 1e-300)])
+    p = preset.params
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = batch(z, p)
+        one = np.array([scalar(q, p) for q in z])
+        mirrored = batch(-z.conj(), p)
+    assert np.isfinite(whole).all()
+    assert whole.tobytes() == one.tobytes()
+    assert (mirrored == whole.conj()).all()

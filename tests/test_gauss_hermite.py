@@ -1,7 +1,8 @@
-"""The Gauss-Hermite region of eval_batch: from |z| = 7 (core._R_GH) to
-1e8 (core._FAR) w is the 12-point Gauss-Hermite quadrature, not the series.
-Its accuracy against the oracle and mpmath, and the batch contracts at the
-edges of the region."""
+"""The Gauss-Hermite region of eval_batch: from |z| = 7 (core._R_GH) up to
+components of DBL_MAX w is the 12-point Gauss-Hermite quadrature, not the
+series (the series forms take it from core._FAR = 1e8 on).  Its accuracy
+against the oracle and mpmath, and the batch contracts at the edge of the
+region and at 1e8."""
 
 import math
 import warnings
