@@ -54,6 +54,7 @@ class InputSpec:
     def __post_init__(self):
         if int(self.size) != self.size or self.size < 0:
             raise DomainError(f"size must be an integer >= 0, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -123,11 +124,10 @@ def _resolve_impl(impl, params, degree, workers):
 
 
 def _eq3_guard_bound(params: core.ApproxParams) -> float:
-    """The accuracy gate of the preset whose table ``params`` is; 1e-9 for
-    a custom table."""
+    """The accuracy gate of the preset equal to ``params``; 1e-9 for a
+    custom parameter set."""
     for preset in core.Preset:
-        p = preset.params
-        if params.tau_m == p.tau_m and np.array_equal(params.coefficients, p.coefficients):
+        if params == preset.params:
             return ACCURACY_GATES[("eq3", preset.name.lower())]
     return 1e-9
 

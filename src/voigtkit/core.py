@@ -49,7 +49,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -100,9 +100,13 @@ _BLOCK = 8192
 
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
 #: they take the quadrature.  Below it, (tau_m*z)^4 and so every term of
-#: the series stays in binary64 range for tau_m < _TAU_MAX; beyond it eq1's
-#: raw terms lose all accuracy to cancellation.
+#: the series stays in binary64 range for every accepted tau_m; beyond it
+#: eq1's raw terms lose all accuracy to cancellation.
 _FAR = 1e8
+
+#: Range check on tau_m, with a message of its own.  The operative bound
+#: is the table's: above tau_m ~ 4.68e8, a_1 rounds to a_0 and the
+#: strictly-decreasing check rejects the table.
 _TAU_MAX = 1e60
 
 #: eval_batch's quadrature region |z| >= _R_GH: 2.3e-15 against mpmath on
@@ -118,61 +122,71 @@ LORENTZ_FALLBACK_RATIO = 1e-8
 
 @dataclass(frozen=True)
 class ApproxParams:
-    """Fourier-series parameters: period ``tau_m``, term count ``n_terms``
-    and the precomputed coefficient table ``a_0..a_N`` (immutable, safe to
-    share across threads)."""
+    """Fourier-series parameters: period ``tau_m`` and term count
+    ``n_terms``.  Construction validates both and builds every table the
+    kernels use, once: ``coefficients`` a_0..a_N and ``parity_terms``, for
+    the odd and then the even n of 1..N the columns n^2 pi^2 and a_n.  The
+    tables are read-only, so an instance is safe to share across threads;
+    equality and hashing go by (tau_m, n_terms).
+
+    Raises
+    ------
+    DomainError
+        If ``n_terms`` is not an integer >= 1, ``tau_m`` is not in
+        (0, 1e60), or the table does not stay positive and strictly
+        decreasing in binary64: its tail underflows for large n_terms, and
+        a_1 rounds to a_0 for tau_m above about 4.68e8.
+    """
 
     tau_m: float
     n_terms: int
-    coefficients: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(init=False, repr=False, compare=False)
+    parity_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tau = self.tau_m
+        nt = self.n_terms
+        if not (isinstance(nt, (int, np.integer)) and not isinstance(nt, bool)):
+            raise DomainError(f"n_terms must be an integer, got {nt!r}")
+        tau = float(self.tau_m)
         if not 0.0 < tau < _TAU_MAX:
             raise DomainError(f"tau_m must be > 0 and < {_TAU_MAX:g}, got {tau!r}")
-        if self.n_terms < 1:
-            raise DomainError(f"n_terms must be >= 1, got {self.n_terms!r}")
-        a = np.asarray(self.coefficients, dtype=np.float64)
-        a.setflags(write=False)
-        object.__setattr__(self, "coefficients", a)
-        if a.shape != (self.n_terms + 1,):
-            raise DomainError(
-                f"coefficient table must have n_terms + 1 = {self.n_terms + 1} "
-                f"entries, got {a.shape}"
-            )
+        if nt < 1:
+            raise DomainError(f"n_terms must be >= 1, got {nt!r}")
+        n = np.arange(nt + 1, dtype=np.float64)
+        a = (2.0 * _SQRT_PI / tau) * np.exp(-(n * n) * (_PI2 / (tau * tau)))
         if not (a > 0.0).all():
             raise DomainError("all coefficients must be > 0 (n_terms too large "
                               "for tau_m at binary64 precision?)")
         if not (np.diff(a) < 0.0).all():
             raise DomainError("coefficients must decrease strictly with n")
-        a0_ref = 2.0 * _SQRT_PI / tau
-        if abs(a[0] - a0_ref) > np.spacing(a0_ref):
-            raise DomainError("a_0 must equal 2*sqrt(pi)/tau_m to within 1 ulp")
+        columns = []
+        for first in (1, 2):
+            n = np.arange(first, nt + 1, 2)
+            columns.append((((n * _PI) ** 2)[:, None], a[n][:, None]))
+        for arr in (a, *columns[0], *columns[1]):
+            arr.setflags(write=False)
+        for name, value in (("tau_m", tau), ("n_terms", int(nt)), ("coefficients", a),
+                            ("parity_terms", tuple(columns))):
+            object.__setattr__(self, name, value)
 
 
 def fourier_coefficients(tau_m: float, n_terms: int) -> ApproxParams:
-    """Build the coefficient table a_n = (2*sqrt(pi)/tau_m)*exp(-n^2 pi^2/tau_m^2)
-    for n = 0..n_terms.
+    """The parameter set ``ApproxParams(tau_m, n_terms)``, whose table is
+    a_n = (2*sqrt(pi)/tau_m)*exp(-n^2 pi^2/tau_m^2) for n = 0..n_terms.
 
     Raises
     ------
     DomainError
-        If ``tau_m`` is not in (0, 1e60), ``n_terms < 1``, or the requested
-        tail coefficients underflow to zero in binary64.
+        As :class:`ApproxParams`: ``n_terms`` not an integer >= 1, ``tau_m``
+        outside (0, 1e60), or a table that underflows or does not strictly
+        decrease (tau_m above about 4.68e8).
     """
-    if not (isinstance(n_terms, (int, np.integer)) and not isinstance(n_terms, bool)):
-        raise DomainError(f"n_terms must be an integer, got {n_terms!r}")
-    tau_m = float(tau_m)
-    if not 0.0 < tau_m < _TAU_MAX:
-        raise DomainError(f"tau_m must be > 0 and < {_TAU_MAX:g}, got {tau_m!r}")
-    n = np.arange(n_terms + 1, dtype=np.float64)
-    a0 = 2.0 * _SQRT_PI / tau_m
-    a = a0 * np.exp(-(n * n) * (_PI2 / (tau_m * tau_m)))
-    return ApproxParams(tau_m=tau_m, n_terms=int(n_terms), coefficients=a)
+    return ApproxParams(tau_m, n_terms)
 
 
 class Preset(Enum):
-    """Named (tau_m, n_terms) configurations.
+    """Named (tau_m, n_terms) configurations, each with its parameter set
+    ``params``, built once.
 
     HIGH (12, 23) preserves full binary64 accuracy and is the default
     everywhere a preset is optional; FAST (9, 12) trades accuracy for speed.
@@ -181,15 +195,8 @@ class Preset(Enum):
     HIGH = (12.0, 23)
     FAST = (9.0, 12)
 
-    @property
-    def params(self) -> ApproxParams:
-        return _preset_params(self.name)
-
-
-@lru_cache(maxsize=None)
-def _preset_params(name: str) -> ApproxParams:
-    tau_m, n_terms = Preset[name].value
-    return fourier_coefficients(tau_m, n_terms)
+    def __init__(self, tau_m, n_terms):
+        self.params = ApproxParams(tau_m, n_terms)
 
 
 def _resolve_params(params) -> ApproxParams:
@@ -315,19 +322,6 @@ def _singular(A, n_max, radius=GUARD_RADIUS):
     return idx[hit], k[hit].astype(np.intp), s[hit]
 
 
-@lru_cache(maxsize=None)
-def _parity_terms(n_terms: int):
-    """The odd and the even n of 1..n_terms, each with a column of n^2 pi^2."""
-    out = []
-    for first in (1, 2):
-        n = np.arange(first, n_terms + 1, 2)
-        col = ((n * _PI) ** 2)[:, None]
-        n.setflags(write=False)
-        col.setflags(write=False)
-        out.append((n, col))
-    return tuple(out)
-
-
 def _tree_sum(T, count):
     """Sum rows 0..count-1 of T's middle axis into row 0 by halving: each
     step adds whole slices elementwise, so a point's sum has the same bits
@@ -379,18 +373,19 @@ def _w_upper(z, params, out):
     ci += ci                                    # Im C
     np.square(ci, out=sq)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, (n, npi2) in enumerate(_parity_terms(nt)):
-            Tp = T[:, :n.size]
+        for p, (npi2, an) in enumerate(params.parity_terms):
+            count = npi2.shape[0]
+            Tp = T[:, :count]
             np.subtract(npi2, cr, out=Tp[0])                # d_n
             np.square(Tp[0], out=Tp[1])
             Tp[1] += sq
-            np.divide(a[n][:, None], Tp[1], out=Tp[1])      # a_n/|.|^2
+            np.divide(an, Tp[1], out=Tp[1])                 # a_n/|.|^2
             Tp[0] *= Tp[1]
             if j.size:
                 mine = (kk & 1) != p
                 Tp[:, (kk[mine] - 1) // 2, j[mine]] = 0.0
-            _tree_sum(Tp, n.size)
-            P[p] = Tp[:, 0] if n.size else 0.0
+            _tree_sum(Tp, count)
+            P[p] = Tp[:, 0] if count else 0.0
         (ov, o_i), (ev, e_i) = P
         np.subtract(ev, ov, out=S_alt.real)
         np.subtract(e_i, o_i, out=S_alt.imag)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,30 +35,10 @@ DEFAULT_DEGREE = 16
 
 @dataclass(frozen=True)
 class WeidemanCoeffs:
-    """Method parameters: term count ``degree``, scale L = sqrt(degree/sqrt(2))
-    and the ``degree`` polynomial coefficients, highest degree first."""
-
-    degree: int
-    l_param: float
-    poly: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.degree < 4 or self.degree % 2:
-            raise DomainError(f"degree must be an even integer >= 4, got {self.degree!r}")
-        l_ref = math.sqrt(self.degree / math.sqrt(2.0))
-        if abs(self.l_param - l_ref) > np.spacing(l_ref):
-            raise DomainError("l_param must equal sqrt(degree/sqrt(2)) to within 1 ulp")
-        p = np.asarray(self.poly, dtype=np.float64)
-        p.setflags(write=False)
-        object.__setattr__(self, "poly", p)
-        if p.shape != (self.degree,):
-            raise DomainError(f"poly must have exactly {self.degree} entries, got {p.shape}")
-        if not np.isfinite(p).all():
-            raise DomainError("poly entries must be finite")
-
-
-def weideman_coefficients(degree: int = DEFAULT_DEGREE) -> WeidemanCoeffs:
-    """Compute the polynomial coefficients for the given term count.
+    """Method parameters for term count ``degree``.  Construction validates
+    it and computes, once, the scale ``l_param`` L = sqrt(degree/sqrt(2))
+    and the ``degree`` polynomial coefficients ``poly``, highest degree
+    first (read-only).  Equality and hashing go by ``degree``.
 
     Sampling grid, transform length and coefficient ordering follow the
     published code: theta_k = k*pi/m for k = -m+1..m-1 with m = 2*degree,
@@ -71,29 +50,52 @@ def weideman_coefficients(degree: int = DEFAULT_DEGREE) -> WeidemanCoeffs:
     Raises
     ------
     DomainError
-        If degree is odd or below 4.
+        If degree is not an even integer >= 4.
     """
-    if int(degree) != degree or degree < 4 or degree % 2:
-        raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
-    degree = int(degree)
-    m = 2 * degree
-    m2 = 2 * m
-    k = np.arange(-m + 1, m)
-    l_param = math.sqrt(degree / math.sqrt(2.0))
-    theta = k * (np.pi / m)
-    t = l_param * np.tan(0.5 * theta)
-    f = np.empty(m2, dtype=np.float64)
-    f[0] = 0.0
-    f[1:] = np.exp(-t * t) * (l_param * l_param + t * t)
-    spectrum = np.fft.fft(np.fft.fftshift(f)) / m2
-    window = spectrum[1:degree + 1]
-    residue = float(np.abs(window.imag).max())
-    if residue > 1e-13:
-        raise DomainError(
-            f"transform imaginary residue {residue:.3e} exceeds 1e-13; "
-            "sampling grid is corrupted")
-    poly = window.real[::-1].copy()
-    return WeidemanCoeffs(degree=degree, l_param=l_param, poly=poly)
+
+    degree: int
+    l_param: float = field(init=False, compare=False)
+    poly: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        degree = self.degree
+        if int(degree) != degree or degree < 4 or degree % 2:
+            raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
+        degree = int(degree)
+        m = 2 * degree
+        m2 = 2 * m
+        k = np.arange(-m + 1, m)
+        l_param = math.sqrt(degree / math.sqrt(2.0))
+        theta = k * (np.pi / m)
+        t = l_param * np.tan(0.5 * theta)
+        f = np.empty(m2, dtype=np.float64)
+        f[0] = 0.0
+        f[1:] = np.exp(-t * t) * (l_param * l_param + t * t)
+        spectrum = np.fft.fft(np.fft.fftshift(f)) / m2
+        window = spectrum[1:degree + 1]
+        residue = float(np.abs(window.imag).max())
+        if residue > 1e-13:
+            raise DomainError(
+                f"transform imaginary residue {residue:.3e} exceeds 1e-13; "
+                "sampling grid is corrupted")
+        poly = window.real[::-1].copy()
+        poly.setflags(write=False)
+        for name, value in (("degree", degree), ("l_param", l_param), ("poly", poly)):
+            object.__setattr__(self, name, value)
+
+
+def weideman_coefficients(degree: int = DEFAULT_DEGREE) -> WeidemanCoeffs:
+    """The parameter set ``WeidemanCoeffs(degree)``.
+
+    Raises
+    ------
+    DomainError
+        If degree is not an even integer >= 4.
+    """
+    return WeidemanCoeffs(degree)
+
+
+_DEFAULT_COEFFS = WeidemanCoeffs(DEFAULT_DEGREE)
 
 
 def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
@@ -112,14 +114,9 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
 
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
     """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep."""
-    coeffs = coeffs if coeffs is not None else _default_coeffs()
+    coeffs = coeffs if coeffs is not None else _DEFAULT_COEFFS
     flat, shape = _validated(zs, "weideman_w", open_half=True)
     return _weideman_kernel(flat, coeffs).reshape(shape)
-
-
-@lru_cache(maxsize=None)
-def _default_coeffs() -> WeidemanCoeffs:
-    return weideman_coefficients(DEFAULT_DEGREE)
 
 
 def _weideman_kernel(z: np.ndarray, coeffs: WeidemanCoeffs) -> np.ndarray:

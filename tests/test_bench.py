@@ -29,6 +29,12 @@ def test_zero_size_gives_empty():
     assert generate_inputs(InputSpec(size=0)).size == 0
 
 
+def test_float_size_is_stored_as_int():
+    spec = InputSpec(size=4.0)
+    assert spec.size == 4 and isinstance(spec.size, int)
+    assert generate_inputs(spec).size == 4
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(size=-1),
     dict(size=8, x_range=(3.0, -3.0)),
@@ -105,6 +111,13 @@ def test_correctness_guard_aborts_on_garbage(monkeypatch):
                         lambda q, params: np.zeros_like(np.asarray(q)))
     with pytest.raises(BenchmarkError):
         time_implementation("eq1", zs, repeats=3)
+
+
+@pytest.mark.parametrize("tau,n,bound", [(12.0, 23, 1e-10), (9.0, 12, 1e-5),
+                                         (12.0, 22, 1e-9)])
+def test_eq3_guard_bound_by_parameter_values(tau, n, bound):
+    # a freshly built set equal to a preset gets that preset's gate
+    assert bench_mod._eq3_guard_bound(vk.fourier_coefficients(tau, n)) == bound
 
 
 def test_checksum_change_aborts_round_robin_run():

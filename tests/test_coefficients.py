@@ -54,7 +54,7 @@ def test_decay_ratio_exact_within_2_ulps(tau, n):
         assert abs(got - expected) <= 2 * np.spacing(expected)
 
 
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, 1e60])
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, 1e60, 1e9])
 def test_bad_tau_rejected(tau):
     with pytest.raises(DomainError):
         fourier_coefficients(tau, 5)
@@ -93,22 +93,37 @@ def test_params_are_immutable():
 
 
 def test_direct_construction_validates():
+    # the tables are built, not passed: a third (table) argument is refused
     good = fourier_coefficients(12.0, 3)
-    with pytest.raises(DomainError):
-        vk.ApproxParams(12.0, 3, good.coefficients[:3])          # wrong length
-    with pytest.raises(DomainError):
-        vk.ApproxParams(12.0, 3, -good.coefficients)             # not positive
-    with pytest.raises(DomainError):
-        vk.ApproxParams(12.0, 3, good.coefficients[::-1].copy()) # increasing
-    bad_a0 = good.coefficients.copy()
-    bad_a0[0] *= 1.0 + 1e-12
-    with pytest.raises(DomainError):
-        vk.ApproxParams(12.0, 3, bad_a0)                         # a_0 off formula
-    # a hand-built table whose tau_m would take the series' terms out of
-    # binary64 range below |z| = 1e8
+    with pytest.raises(TypeError):
+        vk.ApproxParams(12.0, 3, good.coefficients)
+    # a tau_m that would take the series' terms out of binary64 range below
+    # |z| = 1e8
     with pytest.raises(DomainError, match="tau_m must be > 0 and < "):
-        vk.ApproxParams(1e60, 1, [2.0 * math.sqrt(math.pi) / 1e60, 1e-70])
-    vk.ApproxParams(1e59, 1, [2.0 * math.sqrt(math.pi) / 1e59, 1e-70])
+        vk.ApproxParams(1e60, 1)
+    with pytest.raises(DomainError):
+        vk.ApproxParams(12.0, 2.5)
+    with pytest.raises(DomainError):
+        vk.ApproxParams(12.0, 0)
+    for tau, n in [(12.0, 23), (9.0, 12), (7.3, 31), (12, 3)]:
+        p = vk.ApproxParams(tau, n)
+        assert p.coefficients.tobytes() == fourier_coefficients(tau, n).coefficients.tobytes()
+        # the kernel's per-parity columns: odd n, then even n
+        for (npi2, an), first in zip(p.parity_terms, (1, 2)):
+            k = np.arange(first, n + 1, 2)
+            assert np.array_equal(npi2[:, 0], (k * math.pi) ** 2)
+            assert an[:, 0].tobytes() == p.coefficients[first::2].tobytes()
+            assert not (npi2.flags.writeable or an.flags.writeable)
+
+
+def test_params_compare_and_hash_by_defining_values():
+    high = vk.Preset.HIGH.params
+    assert fourier_coefficients(12, 23) == high
+    assert hash(fourier_coefficients(12, 23)) == hash(high)
+    assert {high: "high"}[fourier_coefficients(12.0, 23)] == "high"
+    assert fourier_coefficients(12.0, 23) != vk.Preset.FAST.params
+    assert vk.weideman_coefficients(16) == vk.WeidemanCoeffs(16)
+    assert hash(vk.weideman_coefficients(16)) == hash(vk.WeidemanCoeffs(16))
 
 
 @settings(max_examples=60, deadline=None)

@@ -137,8 +137,12 @@ def test_batch_rejects_with_index():
 
 
 def test_coeffs_validation():
+    # l_param and poly are computed from the degree, not passed
     good = weideman_coefficients(8)
-    with pytest.raises(DomainError):
-        WeidemanCoeffs(degree=8, l_param=good.l_param * 1.001, poly=good.poly)
-    with pytest.raises(DomainError):
-        WeidemanCoeffs(degree=8, l_param=good.l_param, poly=good.poly[:4])
+    with pytest.raises(TypeError):
+        WeidemanCoeffs(degree=8, l_param=good.l_param)
+    with pytest.raises(TypeError):
+        WeidemanCoeffs(degree=8, poly=good.poly)
+    for degree in (2, 7, True):
+        with pytest.raises(DomainError):
+            WeidemanCoeffs(degree)
