@@ -33,11 +33,11 @@ quadrature is as accurate at a quarter of the cost; eval_eq3 and eval_eq1
 stay the pure series forms up to |z| = _FAR = 1e8.
 
 All batch evaluation runs through one block path, ``_evaluate``: each
-block of ``_BLOCK`` consecutive points (``2*_BLOCK`` on threads) is folded
-into the upper half-plane, split by |z| into series and quadrature
-points, and its lower half-plane points then take the reflection, in a
-scratch buffer of its own, so peak memory is the output plus a few
-blocks.  Each block makes one transcendental pass for B over its series
+block of ``_BLOCK`` consecutive points (``2*_BLOCK`` on threads) is split
+by |z| into series and quadrature points, each part folded into the
+upper half-plane in a gathered copy, and its lower half-plane points then
+take the reflection, in scratch of its own, so peak memory is the output
+plus a few blocks.  Each block makes one transcendental pass for B over its series
 points, plus exp(-z^2) for its lower half-plane points.  All evaluators
 are elementwise, so batch output is bitwise identical to a scalar sweep
 (a 1-element batch) and independent of blocks and threads.
@@ -89,14 +89,17 @@ GUARD_RADIUS = 1e-6
 #: scipy.special.wofz at |d| = 1e-3).
 _PATCH_RADIUS = 1e-3
 
-#: Points per block of single-thread batch evaluation.  A block's scratch
-#: (2.6 MiB at HIGH) overflows a 2 MiB L2, but halving the block doubles
-#: the per-point share of its ~110 numpy calls: at 2^20 points (2-core
-#: Xeon, numpy 2.4) 8192 measured fastest, 4096 17% slower.  Threads take
-#: blocks of 2*_BLOCK, as each numpy call hands over the interpreter lock:
-#: at 2^21 points 2 threads ran at 5.6 Mpt/s on blocks of 8192 (1 thread:
-#: 5.7) and at 8.5 on blocks of 16384.
-_BLOCK = 8192
+#: Points per block of single-thread batch evaluation.  Each block pays
+#: about 130-220 us of fixed cost (its ~110 numpy calls, measured on
+#: 64-point blocks), and eval_batch hands the series only its points with
+#: |z| < _R_GH (38% of generate_inputs' upper-half sweep), so larger
+#: blocks pay: on 2^22 such points (2-core Xeon, numpy 2.4, 11 alternating
+#: rounds) 8192 ran at 8.2 Mpt/s, 16384 at 9.0, 12288 and 24576 within
+#: noise of 16384, and 32768 at 8.6.  Short scratch lifetimes in
+#: _evaluate and _w_upper keep the peak of a 2^20-point call within 1.22
+#: of its output.  Threads take blocks of 2*_BLOCK, as each numpy call
+#: hands over the interpreter lock.
+_BLOCK = 16384
 
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
 #: they take the quadrature.  Below it, (tau_m*z)^4 and so every term of
@@ -291,8 +294,10 @@ def _exp_pass(A, out):
     from one tangent and one expm1 pass.  Returns B (in ``out``) and
     Re(1 - B) = 2e*t^2/(1 + t^2) - expm1(-Im A), a sum of two
     non-negative parts, so 1 - B keeps its relative accuracy near A = 0;
-    Im(1 - B) = -Im B."""
-    h, t, em1, g = np.empty((4, A.size))
+    Im(1 - B) = -Im B.  Re(1 - B) has an array of its own, so the pass's
+    work rows are freed at return."""
+    h = np.empty(A.size)
+    t, em1, g = np.empty((3, A.size))
     np.multiply(A.real, 0.5, out=t)
     np.tan(t, out=t)
     np.negative(A.imag, out=em1)
@@ -352,14 +357,13 @@ def _w_upper(z, params, out):
     a = params.coefficients
     nt = params.n_terms
     m = z.size
-    half = (nt + 1) // 2
-    T = np.empty((2, half, m))                     # T[0]: Re weights, T[1]: Im weights
+    A, B = np.empty((2, m), np.complex128)
+    np.multiply(z, params.tau_m, out=A)
+    _, pr = _exp_pass(A, out=B)                    # pr = Re(1 - B)
     rows = np.empty((7, m))
     P = rows[0:4].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
     cr, ci, sq = rows[4:]
-    A, B, S_alt, S_even, U = np.empty((5, m), np.complex128)
-    np.multiply(z, params.tau_m, out=A)
-    _, pr = _exp_pass(A, out=B)                    # pr = Re(1 - B)
+    T = np.empty((2, (nt + 1) // 2, m))            # T[0]: Re weights, T[1]: Im weights
     hit, k, sign = _singular(A, nt, _PATCH_RADIUS)
     z0 = j = hit                                   # hits near 0, near +-kk*pi
     if hit.size:
@@ -386,6 +390,8 @@ def _w_upper(z, params, out):
                 Tp[:, (kk[mine] - 1) // 2, j[mine]] = 0.0
             _tree_sum(Tp, count)
             P[p] = Tp[:, 0] if count else 0.0
+        del T, Tp                               # the closing's rows take its memory
+        S_alt, S_even, U = np.empty((3, m), np.complex128)
         (ov, o_i), (ev, e_i) = P
         np.subtract(ev, ov, out=S_alt.real)
         np.subtract(e_i, o_i, out=S_alt.imag)
@@ -413,22 +419,26 @@ def _w_upper(z, params, out):
 
 
 def _blocked(n: int, run, workers: int = 1) -> None:
-    """Call ``run(lo, hi)`` on consecutive blocks covering range(n): of
-    ``_BLOCK`` points inline, of ``2*_BLOCK`` when ``workers`` threads take
-    them in order.  An input of one block, or ``workers <= 1``, runs
-    inline.  The exception that propagates is that of the lowest block
-    that raised."""
-    size = _BLOCK if workers <= 1 else 2 * _BLOCK
-    starts = range(0, n, size)
+    """Call ``run(lo, hi)`` on consecutive blocks covering range(n): on
+    threads, blocks of ``2*_BLOCK`` points taken in order by as many of the
+    ``workers`` as get at least two blocks each; inline, blocks of
+    ``_BLOCK``.  With fewer than two such workers the call runs inline:
+    on two double blocks (65 536 points, 2-core Xeon, numpy 2.4, median
+    of 15 alternating rounds) two threads ran at 3.6 Mpt/s, inline 6.2.
+    The exception that propagates is that of the lowest block that
+    raised."""
+    starts = range(0, n, 2 * _BLOCK)
+    threads = min(int(workers), len(starts) // 2)
+
+    if threads < 2:
+        for lo in range(0, n, _BLOCK):
+            run(lo, min(lo + _BLOCK, n))
+        return
 
     def one(lo):
-        run(lo, min(lo + size, n))
+        run(lo, min(lo + 2 * _BLOCK, n))
 
-    if workers <= 1 or len(starts) <= 1:
-        for lo in starts:
-            one(lo)
-        return
-    with ThreadPoolExecutor(max_workers=min(int(workers), len(starts))) as ex:
+    with ThreadPoolExecutor(max_workers=threads) as ex:
         for _ in ex.map(one, starts):     # results in block order
             pass
 
@@ -483,31 +493,40 @@ def _inside(z: np.ndarray, radius: float) -> np.ndarray:
 
 def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndarray:
     """w over the validated flat array ``z``, block by block: the one block
-    path of all three batch evaluators.  Each block is folded into the
-    closed upper half-plane (-z for Im z < 0) in one copy and split by |z|:
-    ``series(zs, out, at)`` writes the points with |z| < ``radius``
-    (gathered if the block has others; ``at(i)`` is the input index of
-    point i), the rest take the Gauss-Hermite quadrature, and lower
-    half-plane points then take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch``
-    passes ``radius = _R_GH``, the series forms ``_FAR``."""
+    path of all three batch evaluators.  Each block is split by |z| (which
+    folding leaves unchanged bit for bit): ``series(zs, out, at)`` writes
+    the points with |z| < ``radius`` (gathered if the block has others;
+    ``at(i)`` is the input index of point i), the rest take the
+    Gauss-Hermite quadrature.  Each gets its points folded into the closed
+    upper half-plane (-z for Im z < 0), and lower half-plane points then
+    take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch`` passes
+    ``radius = _R_GH``, the series forms ``_FAR``."""
     out = np.empty_like(z)
 
     def run(lo, hi):
         zb, w = z[lo:hi], out[lo:hi]
         neg = zb.imag < 0.0
-        zs = np.where(neg, -zb, zb)
-        inner = _inside(zs, radius)
+        idx = np.flatnonzero(neg)
+
+        def folded(part):
+            # a gathered copy, so -z never writes through to the caller's input
+            zs = zb[part]
+            if idx.size:
+                np.negative(zs, out=zs, where=neg[part])
+            return zs
+
+        inner = _inside(zb, radius)
         near = np.flatnonzero(inner)
-        if near.size == zs.size:
-            series(zs, w, lambda i: lo + i)
+        if near.size == zb.size:
+            series(folded(near) if idx.size else zb, w, lambda i: lo + i)
         else:
             if near.size:
                 wn = np.empty(near.size, np.complex128)
-                series(zs[near], wn, lambda i: lo + int(near[i]))
+                series(folded(near), wn, lambda i: lo + int(near[i]))
                 w[near] = wn
+                del wn
             outer = np.flatnonzero(~inner)
-            w[outer] = _w_gauss_hermite(zs[outer])
-        idx = np.flatnonzero(neg)
+            w[outer] = _w_gauss_hermite(folded(outer))
         if not idx.size:
             return
         x, y = zb.real[idx], zb.imag[idx]

@@ -54,14 +54,38 @@ def test_mixed_sign_batch_matches_scalars():
     assert bitwise_equal(batch, scalar)
 
 
-def test_chunking_and_workers_do_not_change_bits():
+def _chunking_points():
+    # enough points for at least two threads at either block size
     rng = np.random.default_rng(17)
-    zs = rng.uniform(-10, 10, 30_001) + 1j * rng.uniform(0.01, 20, 30_001)
+    size = 8 * BLOCK + 1
+    return rng.uniform(-10, 10, size) + 1j * rng.uniform(0.01, 20, size)
+
+
+def _check_chunking_and_workers(zs):
     whole = vk.eval_batch(zs)
     for workers in (2, 3, 7):
         assert bitwise_equal(vk.eval_batch(zs, workers=workers), whole)
     parts = np.concatenate([vk.eval_batch(zs[:11_111]), vk.eval_batch(zs[11_111:])])
     assert bitwise_equal(parts, whole)
+    return whole
+
+
+def test_chunking_and_workers_do_not_change_bits():
+    _check_chunking_and_workers(_chunking_points())
+
+
+def test_block_size_does_not_change_bits(monkeypatch):
+    # the block size is a speed choice only: blocks of 8192 points give
+    # the bits of the default size, threaded and inline, for all three
+    # batch evaluators (eq1 on a prefix that spans several blocks)
+    zs = _chunking_points()
+    eq1_points = zs[:2 * BLOCK + 3]
+    default = (vk.eval_batch(zs), vk.eval_eq3_batch(zs), vk.eval_eq1_batch(eq1_points))
+    monkeypatch.setattr(core, "_BLOCK", 8192)
+    assert core._BLOCK != BLOCK
+    assert bitwise_equal(_check_chunking_and_workers(zs), default[0])
+    assert bitwise_equal(vk.eval_eq3_batch(zs), default[1])
+    assert bitwise_equal(vk.eval_eq1_batch(eq1_points), default[2])
 
 
 def test_block_boundaries_same_bits():
@@ -69,9 +93,9 @@ def test_block_boundaries_same_bits():
     # Gauss-Hermite (|z| >= 7) and far-field (|z| >= 1e8) points at the
     # edges of the single-thread blocks (BLOCK) and of the threaded ones
     # (2*BLOCK), one of them in the lower half-plane with both components
-    # above sqrt(DBL_MAX)
+    # above sqrt(DBL_MAX); the longest input runs on threads
     rng = np.random.default_rng(31)
-    size = 4 * BLOCK + 7
+    size = 8 * BLOCK + 7
     z = rng.uniform(-10, 10, size) + 1j * rng.uniform(-4, 10, size)
     step = math.pi / 12.0
     seven = np.nextafter(7.0, 0.0)
@@ -85,12 +109,12 @@ def test_block_boundaries_same_bits():
                BLOCK - 2: 1e200 - 1e199j}
     for i, v in special.items():
         z[i] = v
-    edges = (BLOCK, 2 * BLOCK, 3 * BLOCK, 4 * BLOCK)
+    edges = tuple(k * BLOCK for k in range(1, 9))
     checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
                                           for e in edges)))
     scalar = np.array([vk.eval_w(z[i]) for i in checked])
     for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
-              4 * BLOCK + 7):
+              4 * BLOCK + 7, 8 * BLOCK + 7):
         whole = vk.eval_batch(z[:n])
         idx = [i for i in checked if i < n]
         assert bitwise_equal(whole[idx], scalar[:len(idx)]), n
@@ -99,15 +123,65 @@ def test_block_boundaries_same_bits():
 
 
 def test_single_block_builds_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("thread pool built for a single block")
-    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
-    z = vk.generate_inputs(vk.InputSpec(size=BLOCK, seed=2))
-    assert vk.eval_batch(z, workers=4).shape == (BLOCK,)
+    # a pool starts only when every thread it runs gets at least two of
+    # the threaded blocks (2*BLOCK points each); otherwise the call runs
+    # inline, with the bits of workers=1 either way
+    pools = []
+    real_pool = core.ThreadPoolExecutor
+
+    def counted_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+    monkeypatch.setattr(core, "ThreadPoolExecutor", counted_pool)
+    z = vk.generate_inputs(vk.InputSpec(size=12 * BLOCK, seed=2))
+    one = vk.eval_batch(z)
+    for size, workers in ((BLOCK, 4), (4 * BLOCK, 2), (6 * BLOCK, 3)):
+        assert bitwise_equal(vk.eval_batch(z[:size], workers=workers), one[:size])
+    assert pools == []        # one threaded block per worker, or fewer
+    for size, workers, threads in ((8 * BLOCK, 2, 2), (6 * BLOCK + 1, 2, 2),
+                                   (8 * BLOCK, 3, 2), (12 * BLOCK, 3, 3)):
+        pools.clear()
+        assert bitwise_equal(vk.eval_batch(z[:size], workers=workers), one[:size])
+        assert pools == [threads], (size, workers)
+
+
+def _untouched(func, z, *args, **kwargs):
+    """Call ``func(z, ...)`` and check that z's bytes did not change.
+    Returns the exception raised, or None."""
+    before = z.tobytes()
+    try:
+        func(z, *args, **kwargs)
+        raised = None
+    except DomainError as exc:
+        raised = exc
+    assert z.tobytes() == before, func.__name__
+    return raised
+
+
+def test_no_batch_evaluator_writes_into_its_input():
+    # the lower half-plane points are folded to -z inside each block; the
+    # fold must work on copies, never through a view of the caller's array
+    rng = np.random.default_rng(41)
+    size = 8 * BLOCK + 5                       # workers=2 runs on threads
+    inside = rng.uniform(-4.5, 4.5, size) + 1j * rng.uniform(-4.5, 4.5, size)
+    mixed = rng.uniform(-12, 12, size) + 1j * rng.uniform(-6, 12, size)
+    line = vk.VoigtLine(center=0.0, strength=1.0, doppler_hwhm=1.0, lorentz_hwhm=0.5)
+    for z in (inside, mixed, np.array([-1.5 - 0.5j])):
+        assert z.dtype == np.complex128 and (z.imag < 0.0).any()
+        for workers in (1, 2):
+            assert _untouched(vk.eval_batch, z, workers=workers) is None
+        up = z.copy()
+        up.imag = np.abs(up.imag)
+        for func in (vk.eval_eq3_batch, vk.eval_eq1_batch):
+            assert isinstance(_untouched(func, z), DomainError)
+            assert _untouched(func, up) is None
+        assert _untouched(vk.voigt_profile, np.ascontiguousarray(z.real), line) is None
 
 
 def test_first_error_across_blocks_is_lowest_index():
-    z = vk.generate_inputs(vk.InputSpec(size=3 * BLOCK + 7, seed=8))
+    # enough points that workers=2 runs on threads: lo and hi lie in the
+    # first and second threaded block
+    z = vk.generate_inputs(vk.InputSpec(size=8 * BLOCK + 7, seed=8))
     lo, hi = BLOCK + 5, 2 * BLOCK + 3
     for bad, err_type in ((complex(math.nan, 1.0), DomainError),
                           (-40j, ReflectionOverflowError)):

@@ -87,8 +87,8 @@ def test_region_edges_contracts(preset):
         warnings.simplefilter("error")
         whole = vk.eval_batch(z, p)
         scalar = np.array([vk.eval_w(q, p) for q in z])
-        # many copies, so that the threaded path splits the input into blocks
-        tiled = np.tile(z, 2 * core._BLOCK // z.size + 7)
+        # enough copies that workers=2 and workers=3 run on threads
+        tiled = np.tile(z, 8 * core._BLOCK // z.size + 7)
         one = vk.eval_batch(tiled, p)
         two = vk.eval_batch(tiled, p, workers=2)
         three = vk.eval_batch(tiled, p, workers=3)
