@@ -101,6 +101,15 @@ _PATCH_RADIUS = 1e-3
 #: hands over the interpreter lock.
 _BLOCK = 16384
 
+#: Thread blocks (2*_BLOCK points) that each worker must get before
+#: _blocked starts a pool.  Two threads against one inline (2-core Xeon,
+#: numpy 2.4; runs of 15-31 alternating rounds, upper-half and mixed-sign
+#: points): at 2 and 3 blocks threads won 0-15 of 31 or 3-13 of 21
+#: rounds, at 4 and 5 from 1 of 15 to 26 of 31 as the run went, and at 6
+#: over half in 17 of 19 runs (medians +7% to +47%; both losses were a
+#: process's first threaded calls).
+_THREAD_BLOCKS = 3
+
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
 #: they take the quadrature.  Below it, (tau_m*z)^4 and so every term of
 #: the series stays in binary64 range for every accepted tau_m; beyond it
@@ -421,14 +430,12 @@ def _w_upper(z, params, out):
 def _blocked(n: int, run, workers: int = 1) -> None:
     """Call ``run(lo, hi)`` on consecutive blocks covering range(n): on
     threads, blocks of ``2*_BLOCK`` points taken in order by as many of the
-    ``workers`` as get at least two blocks each; inline, blocks of
-    ``_BLOCK``.  With fewer than two such workers the call runs inline:
-    on two double blocks (65 536 points, 2-core Xeon, numpy 2.4, median
-    of 15 alternating rounds) two threads ran at 3.6 Mpt/s, inline 6.2.
+    ``workers`` as get ``_THREAD_BLOCKS`` blocks each; inline, blocks of
+    ``_BLOCK``.  With fewer than two such workers the call runs inline.
     The exception that propagates is that of the lowest block that
     raised."""
     starts = range(0, n, 2 * _BLOCK)
-    threads = min(int(workers), len(starts) // 2)
+    threads = min(int(workers), len(starts) // _THREAD_BLOCKS)
 
     if threads < 2:
         for lo in range(0, n, _BLOCK):
@@ -495,8 +502,8 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
     """w over the validated flat array ``z``, block by block: the one block
     path of all three batch evaluators.  Each block is split by |z| (which
     folding leaves unchanged bit for bit): ``series(zs, out, at)`` writes
-    the points with |z| < ``radius`` (gathered if the block has others;
-    ``at(i)`` is the input index of point i), the rest take the
+    the points with |z| < ``radius``, given as a gathered copy (``at(i)``
+    is the input index of point i), the rest take the
     Gauss-Hermite quadrature.  Each gets its points folded into the closed
     upper half-plane (-z for Im z < 0), and lower half-plane points then
     take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch`` passes
@@ -511,14 +518,13 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
         def folded(part):
             # a gathered copy, so -z never writes through to the caller's input
             zs = zb[part]
-            if idx.size:
-                np.negative(zs, out=zs, where=neg[part])
+            np.negative(zs, out=zs, where=neg[part])
             return zs
 
         inner = _inside(zb, radius)
         near = np.flatnonzero(inner)
         if near.size == zb.size:
-            series(folded(near) if idx.size else zb, w, lambda i: lo + i)
+            series(folded(near), w, lambda i: lo + i)
         else:
             if near.size:
                 wn = np.empty(near.size, np.complex128)

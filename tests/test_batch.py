@@ -13,6 +13,7 @@ from voigtkit import DomainError, ReflectionOverflowError
 from voigtkit import core
 
 BLOCK = core._BLOCK
+POOLED = 4 * core._THREAD_BLOCKS * BLOCK      # from here workers=2 runs on threads
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -57,7 +58,7 @@ def test_mixed_sign_batch_matches_scalars():
 def _chunking_points():
     # enough points for at least two threads at either block size
     rng = np.random.default_rng(17)
-    size = 8 * BLOCK + 1
+    size = POOLED + 1
     return rng.uniform(-10, 10, size) + 1j * rng.uniform(0.01, 20, size)
 
 
@@ -95,7 +96,7 @@ def test_block_boundaries_same_bits():
     # (2*BLOCK), one of them in the lower half-plane with both components
     # above sqrt(DBL_MAX); the longest input runs on threads
     rng = np.random.default_rng(31)
-    size = 8 * BLOCK + 7
+    size = POOLED + 7
     z = rng.uniform(-10, 10, size) + 1j * rng.uniform(-4, 10, size)
     step = math.pi / 12.0
     seven = np.nextafter(7.0, 0.0)
@@ -109,12 +110,12 @@ def test_block_boundaries_same_bits():
                BLOCK - 2: 1e200 - 1e199j}
     for i, v in special.items():
         z[i] = v
-    edges = tuple(k * BLOCK for k in range(1, 9))
+    edges = tuple(range(BLOCK, size, BLOCK))
     checked = sorted(set(special).union(*(range(e - 32, min(e + 32, z.size))
                                           for e in edges)))
     scalar = np.array([vk.eval_w(z[i]) for i in checked])
     for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
-              4 * BLOCK + 7, 8 * BLOCK + 7):
+              4 * BLOCK + 7, POOLED + 7):
         whole = vk.eval_batch(z[:n])
         idx = [i for i in checked if i < n]
         assert bitwise_equal(whole[idx], scalar[:len(idx)]), n
@@ -123,7 +124,7 @@ def test_block_boundaries_same_bits():
 
 
 def test_single_block_builds_no_pool(monkeypatch):
-    # a pool starts only when every thread it runs gets at least two of
+    # a pool starts only when every thread it runs gets _THREAD_BLOCKS of
     # the threaded blocks (2*BLOCK points each); otherwise the call runs
     # inline, with the bits of workers=1 either way
     pools = []
@@ -133,13 +134,14 @@ def test_single_block_builds_no_pool(monkeypatch):
         pools.append(kwargs["max_workers"])
         return real_pool(*args, **kwargs)
     monkeypatch.setattr(core, "ThreadPoolExecutor", counted_pool)
-    z = vk.generate_inputs(vk.InputSpec(size=12 * BLOCK, seed=2))
+    k, tb = core._THREAD_BLOCKS, 2 * BLOCK
+    z = vk.generate_inputs(vk.InputSpec(size=3 * k * tb, seed=2))
     one = vk.eval_batch(z)
-    for size, workers in ((BLOCK, 4), (4 * BLOCK, 2), (6 * BLOCK, 3)):
+    for size, workers in ((BLOCK, 4), (2 * tb, 2), ((2 * k - 1) * tb, 2), (3 * tb, 3)):
         assert bitwise_equal(vk.eval_batch(z[:size], workers=workers), one[:size])
-    assert pools == []        # one threaded block per worker, or fewer
-    for size, workers, threads in ((8 * BLOCK, 2, 2), (6 * BLOCK + 1, 2, 2),
-                                   (8 * BLOCK, 3, 2), (12 * BLOCK, 3, 3)):
+    assert pools == []        # fewer than _THREAD_BLOCKS blocks per worker
+    for size, workers, threads in ((2 * k * tb, 2, 2), ((2 * k - 1) * tb + 1, 2, 2),
+                                   (2 * k * tb, 3, 2), (3 * k * tb, 3, 3)):
         pools.clear()
         assert bitwise_equal(vk.eval_batch(z[:size], workers=workers), one[:size])
         assert pools == [threads], (size, workers)
@@ -162,7 +164,7 @@ def test_no_batch_evaluator_writes_into_its_input():
     # the lower half-plane points are folded to -z inside each block; the
     # fold must work on copies, never through a view of the caller's array
     rng = np.random.default_rng(41)
-    size = 8 * BLOCK + 5                       # workers=2 runs on threads
+    size = POOLED + 5                          # workers=2 runs on threads
     inside = rng.uniform(-4.5, 4.5, size) + 1j * rng.uniform(-4.5, 4.5, size)
     mixed = rng.uniform(-12, 12, size) + 1j * rng.uniform(-6, 12, size)
     line = vk.VoigtLine(center=0.0, strength=1.0, doppler_hwhm=1.0, lorentz_hwhm=0.5)
@@ -181,7 +183,7 @@ def test_no_batch_evaluator_writes_into_its_input():
 def test_first_error_across_blocks_is_lowest_index():
     # enough points that workers=2 runs on threads: lo and hi lie in the
     # first and second threaded block
-    z = vk.generate_inputs(vk.InputSpec(size=8 * BLOCK + 7, seed=8))
+    z = vk.generate_inputs(vk.InputSpec(size=POOLED + 7, seed=8))
     lo, hi = BLOCK + 5, 2 * BLOCK + 3
     for bad, err_type in ((complex(math.nan, 1.0), DomainError),
                           (-40j, ReflectionOverflowError)):

@@ -88,7 +88,7 @@ def test_region_edges_contracts(preset):
         whole = vk.eval_batch(z, p)
         scalar = np.array([vk.eval_w(q, p) for q in z])
         # enough copies that workers=2 and workers=3 run on threads
-        tiled = np.tile(z, 8 * core._BLOCK // z.size + 7)
+        tiled = np.tile(z, 4 * core._THREAD_BLOCKS * core._BLOCK // z.size + 7)
         one = vk.eval_batch(tiled, p)
         two = vk.eval_batch(tiled, p, workers=2)
         three = vk.eval_batch(tiled, p, workers=3)
