@@ -346,9 +346,9 @@ def _tree_sum(T, count):
         count -= h
 
 
-def _w_upper(z, params, out):
-    """Single-exponential form over the closed upper half-plane (1-D input),
-    written to ``out``.  With A = tau_m*z, C = A^2 and B = exp(iA),
+def _w_upper(z, params):
+    """Single-exponential form over the closed upper half-plane (1-D input).
+    With A = tau_m*z, C = A^2 and B = exp(iA),
 
         w = i*(1 - B)/A + i*(tau_m/sqrt(pi))*A*(B*S_alt - S_even),
         S_even = sum a_n/(n^2 pi^2 - C),  S_alt = sum (-1)^n a_n/(n^2 pi^2 - C).
@@ -418,7 +418,7 @@ def _w_upper(z, params, out):
             U[j] += ((-sg * a[kk] * 1j) * _series_ratio_p4(1j * d)
                      / (2.0 * npi + sg * d))
         np.multiply(A, U, out=S_alt)            # S_alt's row is free from here
-        np.multiply(S_alt, 1j * params.tau_m / _SQRT_PI, out=out)
+        out = np.multiply(S_alt, 1j * params.tau_m / _SQRT_PI)
         S_even.real, S_even.imag = B.imag, pr   # i*(1 - B)
         np.divide(S_even, A, out=U)             # overflows at |A| < 1/DBL_MAX: patched
         if z0.size:
@@ -501,53 +501,43 @@ def _inside(z: np.ndarray, radius: float) -> np.ndarray:
 def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndarray:
     """w over the validated flat array ``z``, block by block: the one block
     path of all three batch evaluators.  Each block is split by |z| (which
-    folding leaves unchanged bit for bit): ``series(zs, out, at)`` writes
-    the points with |z| < ``radius``, given as a gathered copy (``at(i)``
-    is the input index of point i), the rest take the
-    Gauss-Hermite quadrature.  Each gets its points folded into the closed
-    upper half-plane (-z for Im z < 0), and lower half-plane points then
-    take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch`` passes
+    folding leaves unchanged bit for bit) into two regions: the points with
+    |z| < ``radius`` take ``series(zs, at)``, the rest the Gauss-Hermite
+    quadrature.  Each region gathers its points, with input indices ``at``,
+    into a copy ``zs`` folded into the closed upper half-plane (-z for
+    Im z < 0), and its evaluator returns their values.  Lower half-plane
+    points then take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch`` passes
     ``radius = _R_GH``, the series forms ``_FAR``."""
     out = np.empty_like(z)
 
+    def quadrature(zs, at):
+        return _w_gauss_hermite(zs)
+
     def run(lo, hi):
-        zb, w = z[lo:hi], out[lo:hi]
-        neg = zb.imag < 0.0
-        idx = np.flatnonzero(neg)
-
-        def folded(part):
-            # a gathered copy, so -z never writes through to the caller's input
-            zs = zb[part]
-            np.negative(zs, out=zs, where=neg[part])
-            return zs
-
+        zb = z[lo:hi]
         inner = _inside(zb, radius)
-        near = np.flatnonzero(inner)
-        if near.size == zb.size:
-            series(folded(near), w, lambda i: lo + i)
-        else:
-            if near.size:
-                wn = np.empty(near.size, np.complex128)
-                series(folded(near), wn, lambda i: lo + int(near[i]))
-                w[near] = wn
-                del wn
-            outer = np.flatnonzero(~inner)
-            w[outer] = _w_gauss_hermite(folded(outer))
+        for f, part in ((series, inner), (quadrature, ~inner)):
+            at = lo + np.flatnonzero(part)
+            if at.size:
+                zs = z[at]                       # a copy: -z never writes into the input
+                np.negative(zs, out=zs, where=zs.imag < 0.0)
+                out[at] = f(zs, at)
+        idx = lo + np.flatnonzero(zb.imag < 0.0)
         if not idx.size:
             return
-        x, y = zb.real[idx], zb.imag[idx]
+        x, y = z.real[idx], z.imag[idx]
         e = np.empty(idx.size, np.complex128)    # -z^2, with no inf - inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             np.multiply(y - x, y + x, out=e.real)
             np.multiply(x, -2.0 * y, out=e.imag)
-            r = 2.0 * np.exp(e) - w[idx]
+            r = 2.0 * np.exp(e) - out[idx]
         bad = ~np.isfinite(r)
         if bad.any():
-            i = lo + int(idx[np.argmax(bad)])
+            i = int(idx[np.argmax(bad)])
             raise ReflectionOverflowError(
                 f"2*exp(-z^2) - w(-z) overflows binary64 at index {i} "
                 f"(z = {z[i]!r}); lower half-plane value not representable", index=i)
-        w[idx] = r
+        out[idx] = r
 
     _blocked(z.size, run, workers)
     return out
@@ -578,7 +568,7 @@ def eval_eq3_batch(zs, params=None) -> np.ndarray:
     sweep and independent of block boundaries."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq3")
-    return _evaluate(flat, lambda z, o, at: _w_upper(z, params, o), _FAR).reshape(shape)
+    return _evaluate(flat, lambda z, at: _w_upper(z, params), _FAR).reshape(shape)
 
 
 def eval_eq1(z, params=None) -> complex:
@@ -606,11 +596,11 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
     flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
 
-    def series(z, out, at):
+    def series(z, at):
         A = z * tau
         hit, k, _ = _singular(A, params.n_terms)
         if hit.size:
-            i = at(int(hit[0]))
+            i = int(at[hit[0]])
             raise DomainError(
                 f"eval_eq1 denominator below guard radius at index {i}: tau_m*z "
                 f"within {GUARD_RADIUS} of k*pi, k = {int(k[0])}", index=i)
@@ -622,7 +612,7 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
             E_minus = np.exp(1j * (A - npi))
             S += an_tau * ((1.0 - E_plus) / (npi + A) - (1.0 - E_minus) / (npi - A))
         S -= a[0] * (1.0 - np.exp(1j * A)) / z
-        np.multiply(S, 1j / (2.0 * _SQRT_PI), out=out)
+        return S * (1j / (2.0 * _SQRT_PI))
 
     return _evaluate(flat, series, _FAR).reshape(shape)
 
@@ -665,7 +655,7 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """
     params = _resolve_params(params)
     flat, shape = _validated(zs)
-    return _evaluate(flat, lambda z, o, at: _w_upper(z, params, o), _R_GH,
+    return _evaluate(flat, lambda z, at: _w_upper(z, params), _R_GH,
                      workers).reshape(shape)
 
 

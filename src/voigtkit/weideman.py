@@ -10,7 +10,7 @@ Per-element cost is a fixed-length Horner recurrence, independent of z,
 which makes this the standard fast baseline for speed/accuracy comparisons
 against the Fourier-series evaluator.  Batch evaluation is not blocked:
 the kernel holds five full-size complex temporaries, while the core
-evaluator works in blocks of 8192 points, so once the input outgrows the
+evaluator works in blocks of 16384 points, so once the input outgrows the
 caches a timing comparison also measures this difference in memory traffic.
 """
 

@@ -300,6 +300,20 @@ def test_eq1_batch_reports_singular_index():
     assert err.value.index == 1
 
 
+def test_eq1_singular_index_in_a_block_with_both_regions():
+    # quadrature points (|z| >= 1e8) before the singular point in its block:
+    # its place among the block's series points is not its input index
+    bad = complex(5 * math.pi / 12, 0.0)
+    z = np.random.default_rng(3).uniform(-5, 5, BLOCK + 9) + 2j
+    z[[BLOCK + 1, BLOCK + 2]] = 2e8 + 1j
+    z[BLOCK + 4] = bad
+    for zs, i in ((np.array([1 + 1j, 2e8 + 1j, bad]), 2), (z, BLOCK + 4)):
+        with pytest.raises(DomainError) as err:
+            vk.eval_eq1_batch(zs)
+        assert err.value.index == i
+        assert f"at index {i}:" in str(err.value)
+
+
 # (batch, scalar, a finite point outside the function's half-plane or None)
 VALIDATED = {
     "eval_batch": (vk.eval_batch, vk.eval_w, None),
