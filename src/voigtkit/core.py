@@ -498,6 +498,41 @@ def _inside(z: np.ndarray, radius: float) -> np.ndarray:
         return z.real * z.real + z.imag * z.imag < radius * radius
 
 
+def _split(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits
+    (Dekker's split, constant 2^27 + 1); finite for |a| below about 1e300."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exp_neg_square(x, y):
+    """exp(-z^2) for z = x + i*y, from -z^2 = (y - x)*(y + x) - 2i*x*y: no
+    inf - inf.  The rounded phase 2xy is off by up to ulp(2xy), so where
+    |xy| >= 64 and the modulus exp((y - x)*(y + x)) is finite and nonzero
+    (which bounds |x| and |y| near sqrt(DBL_MAX)), xy = p + q exactly by
+    Dekker's TwoProduct (Numer. Math. 18 (1971) 224): the angle 2p comes
+    from sin and cos of p, so nothing overflows while xy is finite, and is
+    then rotated by 2q.  Call under np.errstate with all three ignored."""
+    e = np.empty(x.size, np.complex128)
+    np.multiply(y - x, y + x, out=e.real)
+    np.multiply(x, -2.0 * y, out=e.imag)
+    E = np.exp(e)
+    big = np.flatnonzero(np.abs(e.imag) >= 128.0)
+    if big.size:
+        m, p = np.exp(e.real[big]), x[big] * y[big]
+        keep = (m > 0.0) & np.isfinite(m) & np.isfinite(p)
+        big, m, p = big[keep], m[keep], p[keep]
+        (xh, xl), (yh, yl) = _split(x[big]), _split(y[big])
+        q = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        s, c = np.sin(p), np.cos(p)
+        s, c = 2.0 * s * c, (c - s) * (c + s)            # sin 2p, cos 2p
+        sq, cq = np.sin(2.0 * q), np.cos(2.0 * q)
+        E.real[big] = m * (c * cq - s * sq)              # m*exp(-2i(p + q))
+        E.imag[big] = -m * (s * cq + c * sq)
+    return E
+
+
 def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndarray:
     """w over the validated flat array ``z``, block by block: the one block
     path of all three batch evaluators.  Each block is split by |z| (which
@@ -525,12 +560,8 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
         idx = lo + np.flatnonzero(zb.imag < 0.0)
         if not idx.size:
             return
-        x, y = z.real[idx], z.imag[idx]
-        e = np.empty(idx.size, np.complex128)    # -z^2, with no inf - inf
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            np.multiply(y - x, y + x, out=e.real)
-            np.multiply(x, -2.0 * y, out=e.imag)
-            r = 2.0 * np.exp(e) - out[idx]
+            r = 2.0 * _exp_neg_square(z.real[idx], z.imag[idx]) - out[idx]
         bad = ~np.isfinite(r)
         if bad.any():
             i = int(idx[np.argmax(bad)])

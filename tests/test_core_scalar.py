@@ -122,6 +122,29 @@ class TestEvalW:
                 vk.eval_w(z)
             assert err.value.index == 0, z
 
+    def test_reflection_phase_near_the_diagonal(self):
+        # near |Re z| = |Im z| below the axis, |exp(-z^2)| is about 1 and its
+        # phase 2*Re z*Im z is far larger than 2*pi: a rounded product would
+        # leave no correct digit of it
+        points = []
+        for r in 10.0 ** np.arange(3.0, 12.25, 0.25) + 0.37:
+            for s in (1.0, -1.0):
+                points.append(complex(s * r, -r))
+                for c in (3.0, 30.0):
+                    d = math.sqrt(r * r - c)
+                    points += [complex(s * r, -d), complex(s * d, -r)]
+        for r in (1e154, 1.3e154):     # xy is finite up to sqrt(DBL_MAX)
+            points += [complex(r, -r), complex(-r, -r)]
+        for z in points:
+            ref = _oracle(z)
+            assert abs(vk.eval_w(z) - ref) / abs(ref) <= 1e-13, z
+        z = np.array(points)
+        assert vk.eval_batch(z).tobytes() == np.array([vk.eval_w(p) for p in z]).tobytes()
+        # from there on, xy overflows binary64 and the typed error stays
+        with pytest.raises(ReflectionOverflowError) as err:
+            vk.eval_batch(np.array([1 + 1j, 1.35e154 * (1 - 1j)]))
+        assert err.value.index == 1
+
     def test_upper_half_equals_eq3(self):
         z = 2.5 + 0.25j
         assert vk.eval_w(z) == vk.eval_eq3(z)
