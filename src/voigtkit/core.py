@@ -38,7 +38,8 @@ by |z| into series and quadrature points, each part folded into the
 upper half-plane in a gathered copy, and its lower half-plane points then
 take the reflection, in scratch of its own, so peak memory is the output
 plus a few blocks.  Each block makes one transcendental pass for B over its series
-points, plus exp(-z^2) for its lower half-plane points.  All evaluators
+points, plus exp(-z^2) for its lower half-plane points, whose phase 2xy
+is taken exactly where |xy| >= 64.  All evaluators
 are elementwise, so batch output is bitwise identical to a scalar sweep
 (a 1-element batch) and independent of blocks and threads.
 """
@@ -509,8 +510,9 @@ def _split(a):
 def _exp_neg_square(x, y):
     """exp(-z^2) for z = x + i*y, from -z^2 = (y - x)*(y + x) - 2i*x*y: no
     inf - inf.  The rounded phase 2xy is off by up to ulp(2xy), so where
-    |xy| >= 64 and the modulus exp((y - x)*(y + x)) is finite and nonzero
-    (which bounds |x| and |y| near sqrt(DBL_MAX)), xy = p + q exactly by
+    |xy| >= 64, xy is finite and the modulus exp((y - x)*(y + x)) is finite
+    and nonzero (together these keep |x| and |y| near or below
+    sqrt(DBL_MAX), where the split cannot overflow), xy = p + q exactly by
     Dekker's TwoProduct (Numer. Math. 18 (1971) 224): the angle 2p comes
     from sin and cos of p, so nothing overflows while xy is finite, and is
     then rotated by 2q.  Call under np.errstate with all three ignored."""

@@ -18,8 +18,8 @@ class ReflectionOverflowError(OverflowError):
     """The reflected value 2*exp(-z^2) - w(-z) of a lower half-plane
     argument exceeded the binary64 range; the function value is not
     representable.  Also raised exactly on the diagonal |Re z| = |Im z|
-    with components above about 9.5e153, although |w| <= 2 there: the
-    phase 2*Re z*Im z of exp(-z^2) is not representable."""
+    with components above sqrt(DBL_MAX) = 1.34e154, although |w| <= 2
+    there: Re z*Im z, and so the phase of exp(-z^2), is not representable."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
