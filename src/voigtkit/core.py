@@ -91,10 +91,9 @@ GUARD_RADIUS = 1e-6
 _PATCH_RADIUS = 1e-3
 
 #: Points per block of single-thread batch evaluation.  Each block pays
-#: about 130-220 us of fixed cost (its ~110 numpy calls, measured on
-#: 64-point blocks), and eval_batch hands the series only its points with
-#: |z| < _R_GH (38% of generate_inputs' upper-half sweep), so larger
-#: blocks pay: on 2^22 such points (2-core Xeon, numpy 2.4, 11 alternating
+#: about 130-220 us of fixed cost (measured on 64-point blocks), and
+#: eval_batch hands the series only its points with |z| < _R_GH (38% of
+#: generate_inputs' upper-half sweep), so larger blocks pay: on 2^22 such points (2-core Xeon, numpy 2.4, 11 alternating
 #: rounds) 8192 ran at 8.2 Mpt/s, 16384 at 9.0, 12288 and 24576 within
 #: noise of 16384, and 32768 at 8.6.  Short scratch lifetimes in
 #: _evaluate and _w_upper keep the peak of a 2^20-point call within 1.22
@@ -294,6 +293,13 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # last bit can differ from the vector path, which would break the bitwise
 # batch == scalar-sweep contract.  Non-aliased multiplies, divisions and
 # additions are position-stable.
+#
+# Kernel ops do not broadcast one operand across the rows of another where
+# a flat form measures faster: numpy (2.4) runs such an op through its
+# iterator's copy buffer whenever the whole op fits in the buffer's 8192
+# elements, so adding a (2, 1) column to a (2, 4096) complex array took
+# 9.5 us and to a (2, 4097) one 5.0 us (2-core Xeon).  _w_upper's term
+# table keeps its broadcasts: split into per-row calls it measured slower.
 
 def _exp_pass(A, out):
     """B = exp(i*A) for Im A >= 0, the one transcendental pass of the
@@ -474,23 +480,26 @@ def _gh_table(n_nodes: int) -> np.ndarray:
 
 
 _GH_TABLE = _gh_table(_GH_NODES)
+_GH_COEFFS = _GH_TABLE.tolist()            # Python scalars: no row broadcasts
 
 
 def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
     """w outside the series radius in the closed upper half-plane (1-D
     input): the Gauss-Hermite quadrature u*N(v)/D(v) of ``_GH_TABLE``, N and
-    D from one Horner loop over a (2, m) array.  u = 0.5/(0.5*z) is 1/z
-    bit for bit where that is normal, and its divisor cannot overflow."""
+    D each from a flat Horner recurrence started at c_0*v + c_1, through a
+    scratch row ``S``.  u = 0.5/(0.5*z) is 1/z bit for bit where that is
+    normal, and its divisor cannot overflow."""
     u = np.divide(0.5, 0.5 * z)
     v = np.multiply(u, u)
-    c = _GH_TABLE
-    R, T = np.empty((2, 2, z.size), np.complex128)
-    R[:] = c[:, :1]
-    for k in range(1, c.shape[1]):
-        np.multiply(R, v, out=T)
-        np.add(T, c[:, k:k + 1], out=R)
-    np.multiply(u, R[0], out=T[0])
-    return np.divide(T[0], R[1], out=T[1])
+    N, D, S = np.empty((3, z.size), np.complex128)
+    for P, (c0, c1, *c) in zip((N, D), _GH_COEFFS):
+        np.multiply(v, c0, out=S)
+        np.add(S, c1, out=P)
+        for ck in c:
+            np.multiply(P, v, out=S)
+            np.add(S, ck, out=P)
+    np.multiply(u, N, out=S)
+    return np.divide(S, D, out=N)
 
 
 def _inside(z: np.ndarray, radius: float) -> np.ndarray:

@@ -117,3 +117,42 @@ def test_voigt_function_is_batch_real_part():
         assert err.value.index == 0
     with pytest.raises(vk.DomainError, match="voigt_function requires Im z >= 0"):
         vk.voigt_function(8.0, -1e-9)
+
+
+def _quadrature_points(n, rng):
+    """``n`` points with 7 <= |z| <= 1.7e308, half of them log-uniform and
+    half uniform in [7, 30), where the Horner terms past the first still
+    count; every eighth on the real axis, every other one moved below the
+    axis where its reflection is representable (|Im z| <= |Re z|, 2xy
+    finite), and the first ones at the edges: +-7, +-7i, +-1.7e308."""
+    r = np.where(rng.random(n) < 0.5, rng.uniform(7.0, 30.0, n),
+                 np.exp(rng.uniform(math.log(7.0), math.log(1.7e308), n)))
+    th = rng.uniform(0.0, math.pi, n)
+    x, y = r * np.cos(th), r * np.sin(th)
+    x[::8] = np.where(x[::8] < 0.0, -r[::8], r[::8])
+    y[::8] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):      # 2x overflows on the axis
+        below = (np.arange(n) % 2 == 1) & (y <= np.abs(x)) & np.isfinite(2.0 * x * y)
+    z = x + 1j * np.where(below, -y, y)
+    edges = [7.0, -7.0, 7j, -7j, 1.7e308, -1.7e308]
+    z[:len(edges)] = edges[:n]
+    return z
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+def test_quadrature_batch_is_scalar_sweep_across_buffer_edge(n):
+    # numpy's iterator buffers ops of up to 8192 elements, so the flat
+    # Horner loops must give the same bits on either side of 4096 points
+    # (two rows) and of 8192 (one row) as on one point; a seeded sample of
+    # scalar calls, the edge points and both ends of the batch included
+    rng = np.random.default_rng(4096 + n)
+    z = _quadrature_points(n, rng)
+    assert (np.abs(z) >= core._R_GH).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = vk.eval_batch(z)
+        at = np.unique(np.concatenate([np.arange(min(n, 6)), [n - 1],
+                                       rng.choice(n, min(n, 64), replace=False)]))
+        scalar = np.array([vk.eval_w(q) for q in z[at]])
+    assert np.isfinite(w).all()
+    assert w[at].tobytes() == scalar.tobytes()
