@@ -93,12 +93,12 @@ _PATCH_RADIUS = 1e-3
 #: Points per block of single-thread batch evaluation.  Each block pays
 #: about 130-220 us of fixed cost (measured on 64-point blocks), and
 #: eval_batch hands the series only its points with |z| < _R_GH (38% of
-#: generate_inputs' upper-half sweep), so larger blocks pay: on 2^22 such points (2-core Xeon, numpy 2.4, 11 alternating
-#: rounds) 8192 ran at 8.2 Mpt/s, 16384 at 9.0, 12288 and 24576 within
-#: noise of 16384, and 32768 at 8.6.  Short scratch lifetimes in
-#: _evaluate and _w_upper keep the peak of a 2^20-point call within 1.22
-#: of its output.  Threads take blocks of 2*_BLOCK, as each numpy call
-#: hands over the interpreter lock.
+#: generate_inputs' upper-half sweep), so larger blocks pay: on 2^22 such
+#: points (2-core Xeon, numpy 2.4, 11 alternating rounds) 8192 ran at 8.2
+#: Mpt/s, 16384 at 9.0, 12288 and 24576 within noise of 16384, and 32768
+#: at 8.6.  Short scratch lifetimes in _evaluate and _w_upper keep the
+#: peak of a 2^20-point call within 1.22 of its output.  Threads take
+#: blocks of 2*_BLOCK, as each numpy call hands over the interpreter lock.
 _BLOCK = 16384
 
 #: Thread blocks (2*_BLOCK points) that each worker must get before
@@ -457,9 +457,10 @@ def _blocked(n: int, run, workers: int = 1) -> None:
             pass
 
 
-def _gh_table(n_nodes: int) -> np.ndarray:
+def _gh_table(n_nodes: int) -> tuple:
     """Numerator (row 0) and denominator (row 1) coefficients of the
-    ``n_nodes``-point Gauss-Hermite quadrature of w, highest power first.
+    ``n_nodes``-point Gauss-Hermite quadrature of w, highest power first,
+    as Python scalars, so the Horner loops broadcast no coefficient rows.
 
     The quadrature (i/pi)*sum_k H_k/(z - t_k), summed over the +-t pairs,
     is u*N(v)/D(v) with u = 1/z, v = u^2, D(v) = prod (1 - t_k^2 v) and
@@ -474,13 +475,10 @@ def _gh_table(n_nodes: int) -> np.ndarray:
         rest = reduce(P.polymul, factors[:k] + factors[k + 1:], 1.0)
         table[0, :rest.size] += hk * rest
     table[0] *= 2j / _PI
-    table = table[:, ::-1].copy()
-    table.setflags(write=False)
-    return table
+    return tuple(map(tuple, table[:, ::-1].tolist()))
 
 
 _GH_TABLE = _gh_table(_GH_NODES)
-_GH_COEFFS = _GH_TABLE.tolist()            # Python scalars: no row broadcasts
 
 
 def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
@@ -492,7 +490,7 @@ def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
     u = np.divide(0.5, 0.5 * z)
     v = np.multiply(u, u)
     N, D, S = np.empty((3, z.size), np.complex128)
-    for P, (c0, c1, *c) in zip((N, D), _GH_COEFFS):
+    for P, (c0, c1, *c) in zip((N, D), _GH_TABLE):
         np.multiply(v, c0, out=S)
         np.add(S, c1, out=P)
         for ck in c:
