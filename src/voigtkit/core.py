@@ -35,11 +35,11 @@ stay the pure series forms up to |z| = _FAR = 1e8.
 All batch evaluation runs through one block path, ``_evaluate``: each
 block of ``_BLOCK`` consecutive points (``2*_BLOCK`` on threads) is split
 by |z| into series and quadrature points, each part folded into the
-upper half-plane in a gathered copy, and its lower half-plane points then
-take the reflection, in scratch of its own, so peak memory is the output
-plus a few blocks.  Each block makes one transcendental pass for B over its series
-points, plus exp(-z^2) for its lower half-plane points, whose phase 2xy
-is taken exactly where |xy| >= 64.  All evaluators
+upper half-plane in a gathered copy, where its lower half-plane points
+then take the reflection, so peak memory is the output plus a few blocks.
+Each block makes one transcendental pass for B over its series points,
+and for exp(-z^2) at its lower half-plane points one real exp and one
+tangent, the phase 2xy taken exactly where |xy| >= 64.  All evaluators
 are elementwise, so batch output is bitwise identical to a scalar sweep
 (a 1-element batch) and independent of blocks and threads.
 """
@@ -301,6 +301,18 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 # 9.5 us and to a (2, 4097) one 5.0 us (2-core Xeon).  _w_upper's term
 # table keeps its broadcasts: split into per-row calls it measured slower.
 
+def _rotation(t, e, out):
+    """e*exp(i*theta) = e*((1 - t^2) + 2it)/(1 + t^2) for t = tan(theta/2),
+    into ``out``; returns 2e*t^2/(1 + t^2)."""
+    h = np.square(t)
+    g = np.divide(e, h + 1.0)
+    g += g                                       # 2e/(1 + t^2)
+    np.multiply(g, t, out=out.imag)
+    h *= g                                       # 2e*t^2/(1 + t^2)
+    np.subtract(e, h, out=out.real)
+    return h
+
+
 def _exp_pass(A, out):
     """B = exp(i*A) for Im A >= 0, the one transcendental pass of the
     production form: with t = tan(Re A/2) and e = exp(-Im A),
@@ -312,20 +324,12 @@ def _exp_pass(A, out):
     non-negative parts, so 1 - B keeps its relative accuracy near A = 0;
     Im(1 - B) = -Im B.  Re(1 - B) has an array of its own, so the pass's
     work rows are freed at return."""
-    h = np.empty(A.size)
-    t, em1, g = np.empty((3, A.size))
-    np.multiply(A.real, 0.5, out=t)
+    t = np.multiply(A.real, 0.5)
     np.tan(t, out=t)
-    np.negative(A.imag, out=em1)
+    em1 = np.negative(A.imag)
     np.expm1(em1, out=em1)                       # e - 1
-    np.square(t, out=h)
-    np.add(h, 1.0, out=g)
     np.add(em1, 1.0, out=out.real)               # e
-    np.divide(out.real, g, out=g)
-    g += g                                       # 2e/(1 + t^2)
-    np.multiply(g, t, out=out.imag)
-    h *= g                                       # 2e*t^2/(1 + t^2)
-    out.real -= h
+    h = _rotation(t, out.real, out)
     h -= em1
     return out, h
 
@@ -516,20 +520,23 @@ def _split(a):
 
 def _exp_neg_square(x, y):
     """exp(-z^2) for z = x + i*y, from -z^2 = (y - x)*(y + x) - 2i*x*y: no
-    inf - inf.  The rounded phase 2xy is off by up to ulp(2xy), so where
-    |xy| >= 64, xy is finite and the modulus exp((y - x)*(y + x)) is finite
-    and nonzero (together these keep |x| and |y| near or below
-    sqrt(DBL_MAX), where the split cannot overflow), xy = p + q exactly by
-    Dekker's TwoProduct (Numer. Math. 18 (1971) 224): the angle 2p comes
-    from sin and cos of p, so nothing overflows while xy is finite, and is
-    then rotated by 2q.  Call under np.errstate with all three ignored."""
-    e = np.empty(x.size, np.complex128)
-    np.multiply(y - x, y + x, out=e.real)
-    np.multiply(x, -2.0 * y, out=e.imag)
-    E = np.exp(e)
-    big = np.flatnonzero(np.abs(e.imag) >= 128.0)
+    inf - inf.  m = exp((y - x)*(y + x)) scales a unit ``_rotation`` by
+    tan(-xy): no step overflows before the value, which is 0 where m is.
+    The rounded phase 2xy is off by up to ulp(2xy), so where |xy| >= 64 and
+    xy, m are finite, m > 0 (|x|, |y| near or below sqrt(DBL_MAX), where the
+    split cannot overflow), xy = p + q exactly by Dekker's TwoProduct (Numer.
+    Math. 18 (1971) 224): the angle 2p from sin and cos of p, rotated by 2q.
+    -z has the same bits.  Call under np.errstate with all three ignored."""
+    E = np.empty(x.size, np.complex128)
+    m = np.exp((y - x) * (y + x))
+    t = np.multiply(x, -y)
+    big = np.flatnonzero(np.abs(t) >= 64.0)
+    _rotation(np.tan(t, out=t), 1.0, E)
+    E.real *= m
+    E.imag *= m
     if big.size:
-        m, p = np.exp(e.real[big]), x[big] * y[big]
+        m, p = m[big], x[big] * y[big]
+        E[big[m == 0.0]] = 0.0
         keep = (m > 0.0) & np.isfinite(m) & np.isfinite(p)
         big, m, p = big[keep], m[keep], p[keep]
         (xh, xl), (yh, yl) = _split(x[big]), _split(y[big])
@@ -548,10 +555,10 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
     folding leaves unchanged bit for bit) into two regions: the points with
     |z| < ``radius`` take ``series(zs, at)``, the rest the Gauss-Hermite
     quadrature.  Each region gathers its points, with input indices ``at``,
-    into a copy ``zs`` folded into the closed upper half-plane (-z for
-    Im z < 0), and its evaluator returns their values.  Lower half-plane
-    points then take w(z) = 2*exp(-z^2) - w(-z).  ``eval_batch`` passes
-    ``radius = _R_GH``, the series forms ``_FAR``."""
+    into a copy ``zs`` folded into the closed upper half-plane (-z at the
+    indices ``li`` where Im z < 0), its evaluator returns their values, and
+    those at ``li`` take w(z) = 2*exp(-z^2) - w(-z) before the one scatter.
+    ``eval_batch`` passes ``radius = _R_GH``, the series forms ``_FAR``."""
     out = np.empty_like(z)
 
     def quadrature(zs, at):
@@ -560,24 +567,27 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
     def run(lo, hi):
         zb = z[lo:hi]
         inner = _inside(zb, radius)
+        i = hi                                   # the block's first overflow
         for f, part in ((series, inner), (quadrature, ~inner)):
             at = lo + np.flatnonzero(part)
             if at.size:
                 zs = z[at]                       # a copy: -z never writes into the input
-                np.negative(zs, out=zs, where=zs.imag < 0.0)
-                out[at] = f(zs, at)
-        idx = lo + np.flatnonzero(zb.imag < 0.0)
-        if not idx.size:
-            return
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            r = 2.0 * _exp_neg_square(z.real[idx], z.imag[idx]) - out[idx]
-        bad = ~np.isfinite(r)
-        if bad.any():
-            i = int(idx[np.argmax(bad)])
+                li = np.flatnonzero(b) if (b := zs.imag < 0.0).any() else None
+                if li is not None:
+                    zs[li] = -zs[li]
+                v = f(zs, at)
+                if li is not None:
+                    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                        r = 2.0 * _exp_neg_square(zs.real[li], zs.imag[li]) - v[li]
+                    ok = np.isfinite(r)
+                    if not ok.all():
+                        i = min(i, int(at[li[np.argmin(ok)]]))
+                    v[li] = r
+                out[at] = v
+        if i < hi:
             raise ReflectionOverflowError(
                 f"2*exp(-z^2) - w(-z) overflows binary64 at index {i} "
                 f"(z = {z[i]!r}); lower half-plane value not representable", index=i)
-        out[idx] = r
 
     _blocked(z.size, run, workers)
     return out
