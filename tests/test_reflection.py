@@ -17,7 +17,8 @@ DBL_MAX = np.finfo(np.float64).max
 
 # eval_w's value, as the bits of its real and imaginary parts, where the
 # modulus of exp(-z^2) underflows (also where its phase -2xy overflows), and
-# where the phase is large and the modulus is near 1 or near 1e282
+# where the phase is large and the modulus is near 1 or near 1e282; the
+# verdicts at -26.6364j and -30j are test_core_scalar's test_overflow_signalled
 PINNED = [
     (1e300 - 1e200j, (0, 114892838741810490)),
     (-1e300 - 1e200j, (0, 9338264875596586298)),
@@ -34,13 +35,13 @@ def test_reflection_values_pinned(z, bits):
     assert vk.eval_batch(np.array([1 + 1j, z]))[1:].tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("z", [-26.6364j, -30j])
-def test_reflection_overflow_still_raised(z):
-    # exp(-z^2) overflows at -30j; at -26.6364j it is finite (1.3e308), but
-    # 2*exp(-z^2) - w(-z) is not
-    with pytest.raises(ReflectionOverflowError) as err:
-        vk.eval_w(z)
-    assert err.value.index == 0
+@pytest.mark.parametrize("z", [1.2861724091326655e154 - 1.2233225503304852e154j,
+                               -1.7130310626110868e154 - 1.7058470342999997e154j])
+def test_reflection_underflow_with_overflowing_phase(z):
+    # |Im z| < |Re z| near sqrt(DBL_MAX): exp(-z^2) underflows to 0, while
+    # the phase 2xy (first point) or xy itself (second) overflows, so the
+    # value is -w(-z)
+    assert np.array([vk.eval_w(z)]).tobytes() == np.array([-vk.eval_w(-z)]).tobytes()
 
 
 @pytest.mark.parametrize("x", [0.0074, -0.0074])
@@ -51,9 +52,9 @@ def test_reflection_representable_within_a_factor_two_of_overflow(x):
     y = -math.sqrt(math.log(0.53 * DBL_MAX) + x * x)
     w = vk.eval_w(complex(x, y))
     assert math.isfinite(w.real) and math.isfinite(w.imag)
-    mp.mp.dps = 40
-    ref = 2 * mp.exp(-mp.mpc(x, y) ** 2) - mp.mpc(vk.oracle_w(complex(-x, -y)))
-    assert abs(mp.mpc(w) - ref) <= 1e-12 * abs(ref)      # |w| itself exceeds DBL_MAX
+    with mp.workdps(40):
+        ref = 2 * mp.exp(-mp.mpc(x, y) ** 2) - mp.mpc(vk.oracle_w(complex(-x, -y)))
+        assert abs(mp.mpc(w) - ref) <= 1e-12 * abs(ref)  # |w| itself exceeds DBL_MAX
 
 
 def test_lowest_overflow_index_in_a_block():
@@ -145,11 +146,13 @@ def test_exp_neg_square_against_mpmath():
     a, phase = (y - x) * (y + x), x * (-2.0 * y)
     z = x + 1j * y
     same_argument, plain = np.exp(a + 1j * phase), np.exp(-(z * z))
-    mp.mp.dps = 40
-    exact = np.array([complex(mp.exp(-mp.mpc(u, v) ** 2)) for u, v in zip(x, y)])
-    rounded = np.array([complex(mp.exp(mp.mpf(float(ak)) + 1j * (
-        mp.mpf(float(pk)) if k < small.size else -2 * mp.mpf(float(u)) * mp.mpf(float(v)))))
-        for k, (ak, pk, u, v) in enumerate(zip(a, phase, x, y))])
+    with mp.workdps(40):
+        exact = np.array([complex(mp.exp(-mp.mpc(u, v) ** 2)) for u, v in zip(x, y)])
+        # the kernel's own arguments: the rounded a, and the rounded phase
+        # below |xy| = 64, the exact one from there on
+        rounded = np.array([
+            complex(mp.exp(mp.mpc(ak, pk if k < small.size else -2 * mp.mpf(u) * float(v))))
+            for k, (ak, pk, u, v) in enumerate(zip(a, phase, x, y))])
     ulp = np.spacing(np.abs(exact))
     err = np.abs(E - exact) / ulp
     assert (np.abs(E - rounded) / ulp <= 4.0).all()
