@@ -2,7 +2,7 @@
 w(z) = exp(-z^2)*erfc(-iz), with an extended-precision oracle, a rational-
 approximation comparator and a micro-benchmark harness."""
 
-from .bench import (BENCH_CSV_HEADER, DEFAULT_INPUT_SPEC, BenchRecord, ImplId,
+from .bench import (BENCH_CSV_HEADER, DEFAULT_INPUT_SPEC, BenchRecord,
                     InputSpec, exp_time_fraction, generate_inputs,
                     parse_records_csv, records_to_csv, time_implementation)
 from .core import (GUARD_RADIUS, ApproxParams, Preset, VoigtLine, eval_batch,
@@ -29,7 +29,7 @@ __all__ = [
     # weideman
     "WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch",
     # bench
-    "ImplId", "InputSpec", "BenchRecord", "DEFAULT_INPUT_SPEC",
+    "InputSpec", "BenchRecord", "DEFAULT_INPUT_SPEC",
     "generate_inputs", "time_implementation", "exp_time_fraction",
     "records_to_csv", "parse_records_csv", "BENCH_CSV_HEADER",
     # exceptions

@@ -14,7 +14,6 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from . import core, oracle, weideman
 from .exceptions import BenchmarkError, DomainError
 
 __all__ = [
-    "ImplId",
     "InputSpec",
     "BenchRecord",
     "DEFAULT_INPUT_SPEC",
@@ -33,12 +31,6 @@ __all__ = [
     "parse_records_csv",
     "BENCH_CSV_HEADER",
 ]
-
-
-class ImplId(str, Enum):
-    EQ1 = "eq1"
-    EQ3 = "eq3"
-    WEIDEMAN = "weideman"
 
 
 @dataclass(frozen=True)
@@ -111,18 +103,6 @@ ACCURACY_GATES = {
 }
 
 
-def _resolve_impl(impl, params, degree, workers):
-    impl = ImplId(impl)
-    params = core._resolve_params(params)
-    if impl is ImplId.EQ1:
-        return impl.value, lambda zs: core.eval_eq1_batch(zs, params)
-    if impl is ImplId.EQ3:
-        label = impl.value if workers <= 1 else f"{impl.value}-p{workers}"
-        return label, lambda zs: core.eval_batch(zs, params, workers=workers)
-    coeffs = weideman.weideman_coefficients(degree)
-    return impl.value, lambda zs: weideman.weideman_batch(zs, coeffs)
-
-
 def _eq3_guard_bound(params: core.ApproxParams) -> float:
     """The accuracy gate of the preset equal to ``params``; 1e-9 for a
     custom parameter set."""
@@ -132,24 +112,39 @@ def _eq3_guard_bound(params: core.ApproxParams) -> float:
     return 1e-9
 
 
-def _correctness_guard(impl: ImplId, zs, fn, params, degree) -> None:
+def _resolve_impl(impl, params, degree, workers):
+    """The record label, the batch function, the correctness guard's
+    reference (the values it compares against, on a prefix of the sample)
+    and the guard's bound of implementation ``impl``: eq3 against the
+    oracle on 24 points, eq1 and weideman against HIGH eval_eq3_batch."""
+    params = core._resolve_params(params)
+
+    def high(zs):
+        return core.eval_eq3_batch(zs, core.Preset.HIGH.params)
+
+    if impl == "eq1":
+        return impl, lambda zs: core.eval_eq1_batch(zs, params), high, 1e-8
+    if impl == "eq3":
+        label = impl if workers <= 1 else f"{impl}-p{workers}"
+        return (label, lambda zs: core.eval_batch(zs, params, workers=workers),
+                lambda zs: np.array([complex(oracle.oracle_w(z)) for z in zs[:24]]),
+                _eq3_guard_bound(params))
+    if impl == "weideman":
+        coeffs = weideman.WeidemanCoeffs(degree)
+        return (impl, lambda zs: weideman.weideman_batch(zs, coeffs), high,
+                ACCURACY_GATES.get(("weideman", degree), 0.1))
+    raise ValueError(f"unknown implementation {impl!r}: expected eq1, eq3 or weideman")
+
+
+def _correctness_guard(label: str, zs, fn, reference, bound: float) -> None:
     """Spot-check the implementation before timing it; abort on garbage."""
-    step = max(1, zs.size // 512)
-    sample = zs[::step][:512]
-    got = fn(sample)
-    if impl is ImplId.EQ3:
-        pts = sample[:24]
-        ref = np.array([complex(oracle.oracle_w(z)) for z in pts])
-        rel = np.abs(got[:24] - ref) / np.abs(ref)
-        bound = _eq3_guard_bound(core._resolve_params(params))
-    else:
-        ref = core.eval_eq3_batch(sample, core.Preset.HIGH.params)
-        rel = np.abs(got - ref) / np.abs(ref)
-        bound = 1e-8 if impl is ImplId.EQ1 else ACCURACY_GATES.get(("weideman", degree), 0.1)
+    sample = zs[::max(1, zs.size // 512)][:512]
+    ref = reference(sample)
+    rel = np.abs(fn(sample)[:ref.size] - ref) / np.abs(ref)
     worst = float(rel.max())
     if not worst <= bound:
         raise BenchmarkError(
-            f"correctness guard failed for {impl.value}: max relative deviation "
+            f"correctness guard failed for {label}: max relative deviation "
             f"{worst:.3e} exceeds {bound:.1e}; refusing to time wrong results")
 
 
@@ -183,6 +178,17 @@ def _check_resolution(median: float) -> None:
             f"resolution {res:.1e}s; increase the input size")
 
 
+def _checked(zs, repeats: int) -> np.ndarray:
+    """``zs`` as a flat complex128 array; DomainError if it is empty or
+    repeats < 3."""
+    if repeats < 3:
+        raise DomainError(f"repeats must be >= 3, got {repeats!r}")
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    if zs.size == 0:
+        raise DomainError("cannot benchmark an empty input")
+    return zs
+
+
 def time_implementation(impl, zs, repeats: int = 5, params=None,
                         degree: int = weideman.DEFAULT_DEGREE,
                         workers: int = 1) -> BenchRecord:
@@ -190,20 +196,17 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
 
     Raises
     ------
+    ValueError
+        If impl is not one of eq1, eq3, weideman.
     DomainError
         If repeats < 3 or zs is empty.
     BenchmarkError
         If the correctness guard fails, the timer resolution is unusable, or
         run-to-run checksums differ.
     """
-    if repeats < 3:
-        raise DomainError(f"repeats must be >= 3, got {repeats!r}")
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
-    if zs.size == 0:
-        raise DomainError("cannot benchmark an empty input")
-    impl = ImplId(impl)
-    label, fn = _resolve_impl(impl, params, degree, workers)
-    _correctness_guard(impl, zs, fn, params, degree)
+    zs = _checked(zs, repeats)
+    label, fn, reference, bound = _resolve_impl(impl, params, degree, workers)
+    _correctness_guard(label, zs, fn, reference, bound)
     times, = _timed_runs([(fn, zs)], repeats)
     med = statistics.median(times)
     _check_resolution(med)
@@ -219,11 +222,7 @@ def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     alternately on the same data, one of each per repeat, and the share is
     the median of the per-repeat ratios, so that the machine's speed drift
     cancels."""
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
-    if zs.size == 0:
-        raise DomainError("cannot measure an empty input")
-    if repeats < 3:
-        raise DomainError(f"repeats must be >= 3, got {repeats!r}")
+    zs = _checked(zs, repeats)
     params = core._resolve_params(params)
     A = zs[core._inside(zs, core._R_GH)] * params.tau_m
 

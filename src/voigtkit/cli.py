@@ -35,39 +35,26 @@ def _preset(name: str) -> core.ApproxParams:
     return core.Preset[name.upper()].params
 
 
-def _output_path(arg: str) -> str | None:
+def _write(arg: str, data: str | bytes) -> None:
+    """``data`` to stdout for '-', else to the file ``arg`` (resolved
+    against $VOIGTKIT_OUTPUT_DIR when relative); bytes go to stdout's
+    binary buffer."""
+    binary = isinstance(data, bytes)
     if arg == "-":
-        return None
-    if not os.path.isabs(arg):
-        base = os.environ.get(OUTPUT_DIR_ENV)
-        if base:
-            return os.path.join(base, arg)
-    return arg
-
-
-def _write_text(arg: str, text: str) -> None:
-    path = _output_path(arg)
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_bytes(arg: str, data: bytes) -> None:
-    path = _output_path(arg)
-    if path is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        out = sys.stdout.buffer if binary else sys.stdout
+        out.write(data)
+        out.flush()
+        return
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    path = os.path.join(base, arg) if base and not os.path.isabs(arg) else arg
+    with open(path, "wb" if binary else "w") as fh:
+        fh.write(data)
 
 
 def _write_rows(arg: str, header: str, rows) -> None:
     """CSV lines of repr-formatted numbers under a header line."""
     lines = [header] + [",".join(map(repr, row)) for row in rows]
-    _write_text(arg, "\n".join(lines) + "\n")
+    _write(arg, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +84,9 @@ def _cmd_grid(args) -> int:
         _write_rows(args.output, "x,y,re_w,im_w", table.tolist())
     elif args.format == "json":
         doc = {"columns": ["x", "y", "re_w", "im_w"], "rows": table.tolist()}
-        _write_text(args.output, json.dumps(doc, sort_keys=True) + "\n")
+        _write(args.output, json.dumps(doc, sort_keys=True) + "\n")
     else:  # raw_f64: little-endian f8, interleaved (x, y, re_w, im_w)
-        _write_bytes(args.output, table.astype("<f8").tobytes())
+        _write(args.output, table.astype("<f8").tobytes())
     return 0
 
 
@@ -116,7 +103,7 @@ def _cmd_validate(args) -> int:
     grid = _load_grid(args.grid)
     params = _preset(args.preset)
     if args.impl == "weideman":
-        coeffs = weideman.weideman_coefficients(args.degree)
+        coeffs = weideman.WeidemanCoeffs(args.degree)
         evaluator = lambda zs: weideman.weideman_batch(zs, coeffs)
         # the comparator is held to its degree-16 class at every --degree
         gate = bench_mod.ACCURACY_GATES[("weideman", weideman.DEFAULT_DEGREE)]
@@ -149,12 +136,12 @@ def _cmd_bench(args) -> int:
             frac = bench_mod.exp_time_fraction(zs, params, repeats=args.repeats)
             rec = dataclasses.replace(rec, exp_fraction=frac)
         records.append(rec)
-    _write_text(args.output, bench_mod.records_to_csv(records))
+    _write(args.output, bench_mod.records_to_csv(records))
     return 0
 
 
 def _cmd_coeffs(args) -> int:
-    params = core.fourier_coefficients(args.tau_m, args.n)
+    params = core.ApproxParams(args.tau_m, args.n)
     _write_rows(args.output, "n,a_n", enumerate(params.coefficients.tolist()))
     return 0
 

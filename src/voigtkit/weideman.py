@@ -84,16 +84,8 @@ class WeidemanCoeffs:
             object.__setattr__(self, name, value)
 
 
-def weideman_coefficients(degree: int = DEFAULT_DEGREE) -> WeidemanCoeffs:
-    """The parameter set ``WeidemanCoeffs(degree)``.
-
-    Raises
-    ------
-    DomainError
-        If degree is not an even integer >= 4.
-    """
-    return WeidemanCoeffs(degree)
-
+#: The parameter set of term count ``degree``.
+weideman_coefficients = WeidemanCoeffs
 
 _DEFAULT_COEFFS = WeidemanCoeffs(DEFAULT_DEGREE)
 

@@ -188,3 +188,36 @@ def test_throughput_no_memory_cliffs_at_scale():
     if not all(0.70 <= r <= 1.30 for r in ratios):
         ratios = step_ratios()   # one retry: medians still carry scheduler noise
     assert all(0.70 <= r <= 1.30 for r in ratios), ratios
+
+
+_GUARDED_BATCH = {"eq1": (vk.core, "eval_eq1_batch"), "eq3": (vk.core, "eval_batch"),
+                  "weideman": (vk.weideman, "weideman_batch")}
+
+
+@pytest.mark.parametrize("impl,kwargs,bound", [
+    ("eq3", dict(params=vk.Preset.HIGH.params), 1e-10),
+    ("eq3", dict(params=vk.Preset.FAST.params), 1e-5),
+    ("eq3", dict(params=vk.ApproxParams(12.0, 22)), 1e-9),
+    ("eq1", {}, 1e-8),
+    ("weideman", dict(degree=8), 1e-2),
+    ("weideman", dict(degree=16), 1e-4),
+    ("weideman", dict(degree=32), 1e-10),
+    ("weideman", dict(degree=4), 0.1),
+], ids=["eq3-high", "eq3-fast", "eq3-12-22", "eq1", "weideman-8", "weideman-16",
+        "weideman-32", "weideman-4"])
+@pytest.mark.parametrize("f", [0.5, 2.0])
+def test_guard_policy(monkeypatch, impl, kwargs, bound, f):
+    # each implementation is held to its own reference and bound: the oracle
+    # on the first 24 sampled points for eq3, HIGH eval_eq3_batch otherwise
+    if impl == "eq3":
+        ref = lambda q: np.array([complex(vk.oracle_w(z)) for z in q])
+    else:
+        ref = lambda q: vk.eval_eq3_batch(q, vk.Preset.HIGH.params)
+    monkeypatch.setattr(*_GUARDED_BATCH[impl],
+                        lambda q, *args, **kw: ref(q) * (1.0 + f * bound))
+    zs = generate_inputs(InputSpec(size=24, seed=42))
+    if f < 1.0:
+        assert time_implementation(impl, zs, repeats=3, **kwargs).impl == impl
+    else:
+        with pytest.raises(BenchmarkError):
+            time_implementation(impl, zs, repeats=3, **kwargs)

@@ -100,9 +100,18 @@ class TestEvalW:
         assert abs(w - ref) / abs(ref) <= 1e-10
 
     def test_reflection_is_exact_construction(self):
-        z = np.complex128(0.7 - 0.3j)
-        expected = 2.0 * np.exp(-(z * z)) - vk.eval_eq3(complex(-z))
-        assert vk.eval_w(complex(z)) == complex(expected)
+        # the kernel's own construction, bit for bit: 2*exp(-z^2) from the
+        # folded coordinates, minus w(-z), in the series region (|z| < 7)
+        # and the quadrature region alike
+        rng = np.random.default_rng(20261019)
+        r = np.concatenate([rng.uniform(0.0, 7.0, 2000), rng.uniform(7.0, 25.0, 2000)])
+        phi = rng.uniform(-math.pi, 0.0, r.size)
+        z = np.append(r * np.cos(phi) + 1j * np.minimum(r * np.sin(phi), -1e-3),
+                      0.7 - 0.3j)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            expected = 2.0 * vk.core._exp_neg_square(-z.real, -z.imag) - vk.eval_batch(-z)
+        assert vk.eval_batch(z).tobytes() == expected.tobytes()
+        assert vk.eval_w(complex(z[-1])) == complex(expected[-1])
 
     def test_far_up_the_imaginary_axis(self):
         w = vk.eval_w(100j)

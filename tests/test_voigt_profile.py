@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,9 +56,26 @@ def test_profile_delegates_to_batch(high):
 
 
 def test_rejects_non_finite_grid():
-    line = VoigtLine(center=0.0, strength=1.0, doppler_hwhm=1.0, lorentz_hwhm=0.0)
-    with pytest.raises(DomainError):
-        vk.voigt_profile([0.0, math.nan], line)
+    # the index of the first bad ordinate, on the Voigt and the Lorentzian route
+    for doppler in (1.0, 1e-30):
+        line = VoigtLine(center=0.0, strength=1.0, doppler_hwhm=doppler, lorentz_hwhm=0.5)
+        for grid, index in (([0.0, math.nan], 1), ([[1.0, 2.0], [math.inf, 0.0]], 2)):
+            with pytest.raises(DomainError) as err:
+                vk.voigt_profile(grid, line)
+            assert err.value.index == index
+
+
+def test_overflowing_ordinate_carries_index():
+    # x = sqrt(ln2)*(nu - center)/doppler_hwhm overflows at a finite
+    # ordinate: a typed error naming its index, with no warning first; the
+    # Lorentzian route has no x and returns 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            vk.voigt_profile([0.0, 1e300], VoigtLine(0.0, 1.0, 1e-10, 0.0))
+        assert err.value.index == 1
+        prof = vk.voigt_profile([0.0, 1e300], VoigtLine(0.0, 1.0, 1e-30, 0.5))
+        assert prof[1] == 0.0 and prof[0] > 0.0
 
 
 @pytest.mark.parametrize("kwargs", [
