@@ -47,10 +47,12 @@ are elementwise, so batch output is bitwise identical to a scalar sweep
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -109,6 +111,21 @@ _BLOCK = 16384
 #: over half in 17 of 19 runs (medians +7% to +47%; both losses were a
 #: process's first threaded calls).
 _THREAD_BLOCKS = 3
+
+#: Largest public batch call that runs under the process-wide lock
+#: ``_serial``, from input conversion to the returned array, so concurrent
+#: small calls run one at a time.  Each numpy call on 500 or more elements
+#: hands the interpreter lock to the other caller, so two caller threads
+#: making unlocked calls lose more to the hand-offs than the second core
+#: gives them.  eval_batch on bulk-upper points, Mpt/s for 1 caller / 2
+#: callers (CPU/wall) / 2 callers locked: 1024 points 3.93 / 1.79 (1.23) /
+#: 3.74; 4096 7.09 / 4.56 (1.40) / 7.19; 8192 8.03 / 7.86 (1.48) / 9.08;
+#: 9216 9.98 / 9.82 (1.54) / 10.24; 10240 11.41 / 11.11 (1.58) / 10.59;
+#: 16384 12.32 / 13.29 (1.62) / 11.14 (2-core Xeon, numpy 2.4, 7 rounds;
+#: locked CPU/wall 1.00).  Two more runs agreed: the lock won at 9216 by
+#: 4-9% and lost or tied from 10240 on.  The library's own pool needs
+#: 2*_THREAD_BLOCKS thread blocks, far more points, so it never runs locked.
+_SERIAL_POINTS = 9216
 
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
 #: they take the quadrature.  Below it, (tau_m*z)^4 and so every term of
@@ -264,6 +281,42 @@ def _validated(zs, caller: str | None = None, open_half: bool = False):
             raise DomainError(f"{caller} requires Im z {rel} 0; index {i} is {flat[i]!r}",
                               index=i)
     return flat, z.shape
+
+
+_serial = threading.RLock()
+
+
+def _new_serial_lock():
+    """A forked child gets a fresh lock: a thread that held it in the
+    parent does not exist in the child to release it."""
+    global _serial
+    _serial = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_new_serial_lock)
+
+
+def _serial_when_small(batch):
+    """``batch`` under ``_serial`` when its first argument holds at most
+    _SERIAL_POINTS points: ``size`` of an ndarray, else ``len`` (1 without
+    one).  ``np.size`` would convert a list a second time (297 us of a
+    4096-point list), so a nested list counts its rows.  The lock is
+    re-entrant, so a locked call may make nested public calls."""
+    first = batch.__code__.co_varnames[0]
+
+    @wraps(batch)
+    def call(*args, **kwargs):
+        zs = args[0] if args else kwargs.get(first)
+        try:
+            n = zs.size if isinstance(zs, np.ndarray) else len(zs)
+        except TypeError:
+            n = 1
+        if n > _SERIAL_POINTS:
+            return batch(*args, **kwargs)
+        with _serial:
+            return batch(*args, **kwargs)
+
+    return call
 
 
 def _scalar_call(batch, z, *args) -> complex:
@@ -607,9 +660,11 @@ def eval_eq3(z, params=None) -> complex:
     return _scalar_call(eval_eq3_batch, z, params)
 
 
+@_serial_when_small
 def eval_eq3_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq3`.  Output is bitwise identical to a scalar
-    sweep and independent of block boundaries."""
+    sweep and independent of block boundaries.  Calls on at most 9216
+    points run one at a time across caller threads (``_SERIAL_POINTS``)."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq3")
     return _evaluate(flat, lambda z, at: _w_upper(z, params), _FAR).reshape(shape)
@@ -634,8 +689,11 @@ def eval_eq1(z, params=None) -> complex:
     return _scalar_call(eval_eq1_batch, z, params)
 
 
+@_serial_when_small
 def eval_eq1_batch(zs, params=None) -> np.ndarray:
-    """Vectorized :func:`eval_eq1`, evaluated block by block."""
+    """Vectorized :func:`eval_eq1`, evaluated block by block.  Calls on at
+    most 9216 points run one at a time across caller threads
+    (``_SERIAL_POINTS``)."""
     params = _resolve_params(params)
     flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
@@ -679,6 +737,7 @@ def eval_w(z, params=None) -> complex:
     return _scalar_call(eval_batch, z, params)
 
 
+@_serial_when_small
 def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """Vectorized :func:`eval_w` over an ordered collection.
 
@@ -688,6 +747,13 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     the blocks.  Output order matches input order and is bitwise identical
     to a scalar :func:`eval_w` sweep (a 1-element batch each) regardless of
     ``workers`` or block boundaries.
+
+    A call on at most 9216 points (``_SERIAL_POINTS``) holds a process-wide
+    lock from input conversion to return, so such calls from several
+    caller threads run one at a time: on two threads that beats
+    interleaving them, whose every numpy call hands the interpreter lock
+    to the other thread.  Larger calls, and the ``workers`` pool, which
+    starts only on far larger calls, run concurrently.
 
     Raises
     ------
@@ -715,6 +781,7 @@ def voigt_function(x: float, y: float, params=None) -> float:
     return float(eval_batch(z, params)[0].real)
 
 
+@_serial_when_small
 def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:
     """Voigt profile of ``line`` sampled on ``grid`` (wavenumber ordinates).
 
@@ -722,7 +789,9 @@ def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:
     x = sqrt(ln2)*(nu - center)/doppler_hwhm and
     y = sqrt(ln2)*lorentz_hwhm/doppler_hwhm, integrating to ``strength``.
     Lines with doppler_hwhm below ``LORENTZ_FALLBACK_RATIO * lorentz_hwhm``
-    use the closed-form Lorentzian instead.
+    use the closed-form Lorentzian instead.  A grid of at most 9216 points
+    holds the lock of :func:`eval_batch` for the whole call, so such calls
+    run one at a time across caller threads.
 
     Raises
     ------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _scalar_call, _validated
+from .core import _scalar_call, _serial_when_small, _validated
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
@@ -104,8 +104,11 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
     return _scalar_call(weideman_batch, z, coeffs)
 
 
+@_serial_when_small
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
-    """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep."""
+    """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep.
+    Calls on at most 9216 points run one at a time across caller threads,
+    under the lock of :func:`voigtkit.core.eval_batch`."""
     coeffs = coeffs if coeffs is not None else _DEFAULT_COEFFS
     flat, shape = _validated(zs, "weideman_w", open_half=True)
     return _weideman_kernel(flat, coeffs).reshape(shape)
