@@ -144,6 +144,7 @@ PUBLIC_CALLS = {
     "weideman_batch": lambda n: vk.weideman_batch(upper_points(n)),
     "voigt_profile": lambda n: vk.voigt_profile(*window(n)),
     "voigt_profile_list": lambda n: vk.voigt_profile(window(n)[0].tolist(), window(n)[1]),
+    "voigt_profile_keywords": lambda n: vk.voigt_profile(line=window(n)[1], grid=window(n)[0]),
 }
 
 
