@@ -44,9 +44,7 @@ class InputSpec:
     y_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self):
-        if int(self.size) != self.size or self.size < 0:
-            raise DomainError(f"size must be an integer >= 0, got {self.size!r}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", core._integer(self.size, "size", 0))
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):

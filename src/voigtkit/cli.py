@@ -68,10 +68,10 @@ def _cmd_eval(args) -> int:
 
 
 def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    if not step > 0 or not lo <= hi:
+    count = (hi - lo) / step + 0.5 if 0.0 < step < np.inf else np.nan
+    if not (lo <= hi and np.isfinite(count)):     # so lo and hi are finite too
         raise DomainError(f"bad grid axis: [{lo}, {hi}] step {step}")
-    n = int(np.floor((hi - lo) / step + 0.5)) + 1
-    return lo + step * np.arange(n)
+    return lo + step * np.arange(int(np.floor(count)) + 1)
 
 
 def _cmd_grid(args) -> int:

@@ -50,9 +50,10 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce, wraps
+from functools import reduce
 
 import numpy as np
 
@@ -112,19 +113,20 @@ _BLOCK = 16384
 #: process's first threaded calls).
 _THREAD_BLOCKS = 3
 
-#: Largest public batch call that runs under the process-wide lock
-#: ``_serial``, from input conversion to the returned array, so concurrent
-#: small calls run one at a time.  Each numpy call on 500 or more elements
-#: hands the interpreter lock to the other caller, so two caller threads
-#: making unlocked calls lose more to the hand-offs than the second core
-#: gives them.  eval_batch on bulk-upper points, Mpt/s for 1 caller / 2
-#: callers (CPU/wall) / 2 callers locked: 1024 points 3.93 / 1.79 (1.23) /
-#: 3.74; 4096 7.09 / 4.56 (1.40) / 7.19; 8192 8.03 / 7.86 (1.48) / 9.08;
-#: 9216 9.98 / 9.82 (1.54) / 10.24; 10240 11.41 / 11.11 (1.58) / 10.59;
-#: 16384 12.32 / 13.29 (1.62) / 11.14 (2-core Xeon, numpy 2.4, 7 rounds;
-#: locked CPU/wall 1.00).  Two more runs agreed: the lock won at 9216 by
-#: 4-9% and lost or tied from 10240 on.  The library's own pool needs
-#: 2*_THREAD_BLOCKS thread blocks, far more points, so it never runs locked.
+#: Largest public batch call, in points of its converted input, that runs
+#: under the process-wide lock ``_serial`` from that conversion to the
+#: returned array, so concurrent small calls run one at a time.  Each numpy
+#: call on 500 or more elements hands the interpreter lock to the other
+#: caller, so two caller threads making unlocked calls lose more to the
+#: hand-offs than the second core gives them.  eval_batch on bulk-upper
+#: points, Mpt/s for 1 caller / 2 callers (CPU/wall) / 2 callers locked:
+#: 1024 points 3.93 / 1.79 (1.23) / 3.74; 4096 7.09 / 4.56 (1.40) / 7.19;
+#: 8192 8.03 / 7.86 (1.48) / 9.08; 9216 9.98 / 9.82 (1.54) / 10.24; 10240
+#: 11.41 / 11.11 (1.58) / 10.59; 16384 12.32 / 13.29 (1.62) / 11.14 (2-core
+#: Xeon, numpy 2.4, 7 rounds; locked CPU/wall 1.00).  Two more runs agreed:
+#: the lock won at 9216 by 4-9% and lost or tied from 10240 on.  The
+#: library's own pool needs 2*_THREAD_BLOCKS thread blocks, far more
+#: points, so it never runs locked.
 _SERIAL_POINTS = 9216
 
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
@@ -263,11 +265,10 @@ class VoigtLine:
 # input handling
 # ---------------------------------------------------------------------------
 
-def _validated(zs, caller: str | None = None, open_half: bool = False):
-    """``zs`` as a flat complex128 array plus its shape.  Raises DomainError
-    with the index of the first non-finite element, else, when ``caller``
-    is given, of the first with Im z < 0 (Im z <= 0 if ``open_half``)."""
-    z = np.asarray(zs, dtype=np.complex128)
+def _validated(z: np.ndarray, caller: str | None = None, open_half: bool = False):
+    """The complex128 array ``z``, flattened.  Raises DomainError with the
+    index of the first non-finite element, else, when ``caller`` is given,
+    of the first with Im z < 0 (Im z <= 0 if ``open_half``)."""
     flat = z.ravel()
     v = flat.view(np.float64)
     if flat.size and not (math.isfinite(v.min()) and math.isfinite(v.max())):
@@ -280,7 +281,20 @@ def _validated(zs, caller: str | None = None, open_half: bool = False):
             rel = ">" if open_half else ">="
             raise DomainError(f"{caller} requires Im z {rel} 0; index {i} is {flat[i]!r}",
                               index=i)
-    return flat, z.shape
+    return flat
+
+
+def _integer(value, name: str, least: int, even: bool = False) -> int:
+    """``value`` as an int; DomainError unless whole and >= ``least`` (even if ``even``)."""
+    try:
+        n = int(value)
+        ok = n == value and n >= least and not (even and n % 2)
+    except (OverflowError, ValueError):          # inf, nan, a non-numeric string
+        ok = False
+    if not ok:
+        kind = "an even integer" if even else "an integer"
+        raise DomainError(f"{name} must be {kind} >= {least}, got {value!r}")
+    return n
 
 
 _serial = threading.RLock()
@@ -296,27 +310,18 @@ def _new_serial_lock():
 os.register_at_fork(after_in_child=_new_serial_lock)
 
 
-def _serial_when_small(batch):
-    """``batch`` under ``_serial`` when its first argument holds at most
-    _SERIAL_POINTS points: ``size`` of an ndarray, else ``len`` (1 without
-    one).  ``np.size`` would convert a list a second time (297 us of a
-    4096-point list), so a nested list counts its rows.  The lock is
-    re-entrant, so a locked call may make nested public calls."""
-    first = batch.__code__.co_varnames[0]
+def _lock(points: int):
+    """``_serial`` for a call on at most _SERIAL_POINTS points, else no lock."""
+    return _serial if points <= _SERIAL_POINTS else nullcontext()
 
-    @wraps(batch)
-    def call(*args, **kwargs):
-        zs = args[0] if args else kwargs.get(first)
-        try:
-            n = zs.size if isinstance(zs, np.ndarray) else len(zs)
-        except TypeError:
-            n = 1
-        if n > _SERIAL_POINTS:
-            return batch(*args, **kwargs)
-        with _serial:
-            return batch(*args, **kwargs)
 
-    return call
+def _batch(zs, run, caller: str | None = None, open_half: bool = False) -> np.ndarray:
+    """The entry path of every public batch call: ``zs`` converted to
+    complex128 once, then, under ``_lock`` of its size, ``_validated`` and
+    ``run`` on the flat array (it resolves its parameters), in zs's shape."""
+    z = np.asarray(zs, dtype=np.complex128)
+    with _lock(z.size):
+        return run(_validated(z, caller, open_half)).reshape(z.shape)
 
 
 def _scalar_call(batch, z, *args) -> complex:
@@ -640,6 +645,12 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
     return out
 
 
+def _production(params):
+    """The production form at ``params`` (resolved here) as _evaluate's series."""
+    params = _resolve_params(params)
+    return lambda z, at: _w_upper(z, params)
+
+
 # ---------------------------------------------------------------------------
 # public evaluators
 # ---------------------------------------------------------------------------
@@ -660,14 +671,11 @@ def eval_eq3(z, params=None) -> complex:
     return _scalar_call(eval_eq3_batch, z, params)
 
 
-@_serial_when_small
 def eval_eq3_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq3`.  Output is bitwise identical to a scalar
     sweep and independent of block boundaries.  Calls on at most 9216
-    points run one at a time across caller threads (``_SERIAL_POINTS``)."""
-    params = _resolve_params(params)
-    flat, shape = _validated(zs, "eval_eq3")
-    return _evaluate(flat, lambda z, at: _w_upper(z, params), _FAR).reshape(shape)
+    converted points run one at a time across caller threads (``_SERIAL_POINTS``)."""
+    return _batch(zs, lambda z: _evaluate(z, _production(params), _FAR), "eval_eq3")
 
 
 def eval_eq1(z, params=None) -> complex:
@@ -689,13 +697,16 @@ def eval_eq1(z, params=None) -> complex:
     return _scalar_call(eval_eq1_batch, z, params)
 
 
-@_serial_when_small
 def eval_eq1_batch(zs, params=None) -> np.ndarray:
     """Vectorized :func:`eval_eq1`, evaluated block by block.  Calls on at
-    most 9216 points run one at a time across caller threads
+    most 9216 converted points run one at a time across caller threads
     (``_SERIAL_POINTS``)."""
+    return _batch(zs, lambda z: _evaluate(z, _raw_series(params), _FAR), "eval_eq1")
+
+
+def _raw_series(params):
+    """The raw two-sided series at ``params`` (resolved here) as _evaluate's series."""
     params = _resolve_params(params)
-    flat, shape = _validated(zs, "eval_eq1")
     tau, a = params.tau_m, params.coefficients
 
     def series(z, at):
@@ -716,7 +727,7 @@ def eval_eq1_batch(zs, params=None) -> np.ndarray:
         S -= a[0] * (1.0 - np.exp(1j * A)) / z
         return S * (1j / (2.0 * _SQRT_PI))
 
-    return _evaluate(flat, series, _FAR).reshape(shape)
+    return series
 
 
 def eval_w(z, params=None) -> complex:
@@ -737,7 +748,6 @@ def eval_w(z, params=None) -> complex:
     return _scalar_call(eval_batch, z, params)
 
 
-@_serial_when_small
 def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     """Vectorized :func:`eval_w` over an ordered collection.
 
@@ -748,12 +758,10 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     to a scalar :func:`eval_w` sweep (a 1-element batch each) regardless of
     ``workers`` or block boundaries.
 
-    A call on at most 9216 points (``_SERIAL_POINTS``) holds a process-wide
-    lock from input conversion to return, so such calls from several
-    caller threads run one at a time: on two threads that beats
-    interleaving them, whose every numpy call hands the interpreter lock
-    to the other thread.  Larger calls, and the ``workers`` pool, which
-    starts only on far larger calls, run concurrently.
+    A call whose input converts to at most 9216 points (``_SERIAL_POINTS``)
+    holds a process-wide lock from that conversion to return, so such calls
+    from several caller threads run one at a time, without handing the
+    interpreter lock back and forth; larger calls and the ``workers`` pool never take it.
 
     Raises
     ------
@@ -763,10 +771,7 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
         2*exp(-z^2) - w(-z) overflow for a lower half-plane element (the
         first such index).
     """
-    params = _resolve_params(params)
-    flat, shape = _validated(zs)
-    return _evaluate(flat, lambda z, at: _w_upper(z, params), _R_GH,
-                     workers).reshape(shape)
+    return _batch(zs, lambda z: _evaluate(z, _production(params), _R_GH, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +782,11 @@ def voigt_function(x: float, y: float, params=None) -> float:
     """Voigt function K(x, y) = Re w(x + i*y) for y >= 0, bit for bit
     Re :func:`eval_batch`; DomainError (``index`` 0) for non-finite x, y
     or y < 0."""
-    z, _ = _validated(np.array([complex(float(x), float(y))]), "voigt_function")
-    return float(eval_batch(z, params)[0].real)
+    w = _batch(np.array([complex(float(x), float(y))]),
+               lambda z: _evaluate(z, _production(params), _R_GH), "voigt_function")
+    return float(w[0].real)
 
 
-@_serial_when_small
 def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:
     """Voigt profile of ``line`` sampled on ``grid`` (wavenumber ordinates).
 
@@ -790,8 +795,8 @@ def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:
     y = sqrt(ln2)*lorentz_hwhm/doppler_hwhm, integrating to ``strength``.
     Lines with doppler_hwhm below ``LORENTZ_FALLBACK_RATIO * lorentz_hwhm``
     use the closed-form Lorentzian instead.  A grid of at most 9216 points
-    holds the lock of :func:`eval_batch` for the whole call, so such calls
-    run one at a time across caller threads.
+    (its converted ``size``) holds the lock of :func:`eval_batch` for the
+    rest of the call, so such calls run one at a time across caller threads.
 
     Raises
     ------
@@ -802,20 +807,21 @@ def voigt_profile(grid, line: VoigtLine, params=None) -> np.ndarray:
     if not isinstance(line, VoigtLine):
         raise TypeError(f"expected VoigtLine, got {type(line)!r}")
     nu = np.asarray(grid, dtype=np.float64)
-    params = _resolve_params(params)
-    g = line.lorentz_hwhm
-    lorentz = line.doppler_hwhm < LORENTZ_FALLBACK_RATIO * g
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = nu - line.center
-        x = d if lorentz else (_SQRT_LN2 / line.doppler_hwhm) * d
-        ok = np.isfinite(nu if lorentz else x).ravel()
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise DomainError(f"profile grid ordinate {nu.ravel()[i]!r} at index {i} is not "
-                              "finite or overflows x = sqrt(ln2)*(nu - center)/doppler_hwhm",
-                              index=i)
-        if lorentz:
-            return line.strength * g / (_PI * (d * d + g * g))   # 0 where d*d overflows
-    y = _SQRT_LN2 * g / line.doppler_hwhm
-    k = eval_batch(x + 1j * y, params).real
-    return (line.strength * _SQRT_LN2 / (line.doppler_hwhm * _SQRT_PI)) * k
+    with _lock(nu.size):
+        series = _production(params)
+        g = line.lorentz_hwhm
+        lorentz = line.doppler_hwhm < LORENTZ_FALLBACK_RATIO * g
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = nu - line.center
+            x = d if lorentz else (_SQRT_LN2 / line.doppler_hwhm) * d
+            ok = np.isfinite(nu if lorentz else x).ravel()
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise DomainError(f"profile grid ordinate {nu.ravel()[i]!r} at index {i} is not "
+                                  "finite or overflows x = sqrt(ln2)*(nu - center)/doppler_hwhm",
+                                  index=i)
+            if lorentz:
+                return line.strength * g / (_PI * (d * d + g * g))   # 0 where d*d overflows
+        y = _SQRT_LN2 * g / line.doppler_hwhm        # finite, as is x: no _validated
+        k = _evaluate((x + 1j * y).ravel(), series, _R_GH).real.reshape(nu.shape)
+        return (line.strength * _SQRT_LN2 / (line.doppler_hwhm * _SQRT_PI)) * k

@@ -33,6 +33,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
+from .core import _integer
 from .exceptions import DomainError, OracleConvergenceError
 
 __all__ = [
@@ -58,9 +59,7 @@ class OracleConfig:
     digits: int = 30
 
     def __post_init__(self):
-        if int(self.digits) != self.digits or self.digits < 20:
-            raise DomainError(f"digits must be an integer >= 20, got {self.digits!r}")
-        object.__setattr__(self, "digits", int(self.digits))
+        object.__setattr__(self, "digits", _integer(self.digits, "digits", 20))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _scalar_call, _serial_when_small, _validated
+from .core import _batch, _integer, _scalar_call
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
@@ -58,10 +58,7 @@ class WeidemanCoeffs:
     poly: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        degree = self.degree
-        if int(degree) != degree or degree < 4 or degree % 2:
-            raise DomainError(f"degree must be an even integer >= 4, got {degree!r}")
-        degree = int(degree)
+        degree = _integer(self.degree, "degree", 4, even=True)
         m = 2 * degree
         m2 = 2 * m
         k = np.arange(-m + 1, m)
@@ -104,14 +101,12 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
     return _scalar_call(weideman_batch, z, coeffs)
 
 
-@_serial_when_small
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
     """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep.
-    Calls on at most 9216 points run one at a time across caller threads,
-    under the lock of :func:`voigtkit.core.eval_batch`."""
+    Calls whose input converts to at most 9216 points run one at a time
+    across caller threads, under the lock of :func:`voigtkit.core.eval_batch`."""
     coeffs = coeffs if coeffs is not None else _DEFAULT_COEFFS
-    flat, shape = _validated(zs, "weideman_w", open_half=True)
-    return _weideman_kernel(flat, coeffs).reshape(shape)
+    return _batch(zs, lambda z: _weideman_kernel(z, coeffs), "weideman_w", open_half=True)
 
 
 def _weideman_kernel(z: np.ndarray, coeffs: WeidemanCoeffs) -> np.ndarray:

@@ -41,6 +41,8 @@ def test_float_size_is_stored_as_int():
     dict(size=8, y_range=(0.0, 1.0)),
     dict(size=8, y_range=(-1.0, 1.0)),
     dict(size=8, x_range=(0.0, np.inf)),
+    dict(size=np.inf),
+    dict(size=np.nan),
 ])
 def test_bad_input_spec_rejected(kwargs):
     with pytest.raises(DomainError):

@@ -132,6 +132,25 @@ def test_voigt_rejects_bad_line(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid", "--x-min", "0", "--x-max", "inf", "--x-step", "1", "--y-list", "1"),
+    ("grid", "--x-min=-inf", "--x-max", "0", "--x-step", "1", "--y-list", "1"),
+    ("grid", "--x-min", "0", "--x-max", "1", "--x-step", "inf", "--y-list", "1"),
+    ("voigt", "--center", "0", "--strength", "1", "--doppler-hwhm", "0.5",
+     "--lorentz-hwhm", "0.1", "--nu-min=-1e308", "--nu-max", "1e308", "--nu-step", "1"),
+    ("voigt", "--center", "0", "--strength", "1", "--doppler-hwhm", "0.5",
+     "--lorentz-hwhm", "0.1", "--nu-min", "0", "--nu-max", "1", "--nu-step", "1e-320"),
+], ids=["grid-inf-max", "grid-inf-min", "grid-inf-step", "voigt-span-overflows",
+        "voigt-count-overflows"])
+def test_non_finite_axis_is_domain_error(capsys, argv):
+    # a bound or step that is not finite, or a point count that overflows:
+    # exit 1 with the usual message, no traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("voigtkit: error: bad grid axis")
+
+
 @pytest.fixture()
 def small_grid_file(tmp_path):
     path = tmp_path / "grid.json"

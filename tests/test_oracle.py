@@ -109,6 +109,9 @@ def test_rejects_non_finite():
 def test_config_floor():
     with pytest.raises(DomainError):
         OracleConfig(digits=19)
+    for digits in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            OracleConfig(digits=digits)
     with pytest.raises(DomainError):
         vk.oracle_w(1j, 10)
 

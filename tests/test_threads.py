@@ -11,7 +11,7 @@ import pytest
 
 import voigtkit as vk
 from voigtkit import DomainError, ReflectionOverflowError
-from voigtkit import core, weideman
+from voigtkit import core
 
 SERIAL = core._SERIAL_POINTS
 TIMEOUT = 60.0
@@ -117,9 +117,8 @@ def lock_probes(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    for module, name in ((core, "_w_gauss_hermite"), (core, "_resolve_params"),
-                         (core, "_validated"), (weideman, "_validated")):
-        monkeypatch.setattr(module, name, probed(getattr(module, name)))
+    for name in ("_w_gauss_hermite", "_resolve_params", "_validated"):
+        monkeypatch.setattr(core, name, probed(getattr(core, name)))
     return seen
 
 
@@ -136,15 +135,26 @@ def window(n):
     return np.linspace(g[0], g[-1], n), line
 
 
+#: Nested lists of SERIAL and SERIAL + 1 points: the lock goes by every
+#: point, not by the number of rows.
+ROWS = {SERIAL: (1152, 8), SERIAL + 1: (13, 709)}
+
+
+def nested(a):
+    return a.reshape(ROWS[a.size]).tolist()
+
+
 PUBLIC_CALLS = {
     "eval_batch": lambda n: vk.eval_batch(mixed_points(n, 4)),
     "eval_batch_workers2": lambda n: vk.eval_batch(mixed_points(n, 4), workers=2),
+    "eval_batch_nested": lambda n: vk.eval_batch(nested(mixed_points(n, 4))),
     "eval_eq3_batch": lambda n: vk.eval_eq3_batch(upper_points(n)),
     "eval_eq1_batch": lambda n: vk.eval_eq1_batch(upper_points(n)),
     "weideman_batch": lambda n: vk.weideman_batch(upper_points(n)),
     "voigt_profile": lambda n: vk.voigt_profile(*window(n)),
     "voigt_profile_list": lambda n: vk.voigt_profile(window(n)[0].tolist(), window(n)[1]),
     "voigt_profile_keywords": lambda n: vk.voigt_profile(line=window(n)[1], grid=window(n)[0]),
+    "voigt_profile_nested": lambda n: vk.voigt_profile(nested(window(n)[0]), window(n)[1]),
 }
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import voigtkit as vk
-from voigtkit import DomainError, VoigtLine
+from voigtkit import DomainError, VoigtLine, core
 
 SQRT_LN2_OVER_PI = math.sqrt(math.log(2.0) / math.pi)
 
@@ -44,15 +44,22 @@ def test_area_closes_to_strength():
 
 
 def test_profile_delegates_to_batch(high):
+    # the profile equals the eval_batch formula bit for bit, on a 57-point
+    # grid and on a 2-D grid above the lock's point count; both reach |x| > 7,
+    # so the series and the quadrature region both run
     line = VoigtLine(center=10.0, strength=3.0, doppler_hwhm=0.1, lorentz_hwhm=0.02)
-    nu = np.linspace(9.0, 11.0, 57)
+    big = np.linspace(8.5, 11.5, 96 * 97).reshape(96, 97)
+    assert big.size > core._SERIAL_POINTS
     rl2 = math.sqrt(math.log(2.0))
-    x = (rl2 / line.doppler_hwhm) * (nu - line.center)
-    y = rl2 * line.lorentz_hwhm / line.doppler_hwhm
-    k = vk.eval_batch(x + 1j * y, high).real
-    expected = (line.strength * rl2 / (line.doppler_hwhm * math.sqrt(math.pi))) * k
-    got = vk.voigt_profile(nu, line, high)
-    assert got.tobytes() == expected.tobytes()
+    for nu in (np.linspace(9.0, 11.0, 57), big):
+        x = (rl2 / line.doppler_hwhm) * (nu - line.center)
+        assert np.abs(x).max() > core._R_GH
+        y = rl2 * line.lorentz_hwhm / line.doppler_hwhm
+        k = vk.eval_batch(x + 1j * y, high).real
+        expected = (line.strength * rl2 / (line.doppler_hwhm * math.sqrt(math.pi))) * k
+        got = vk.voigt_profile(nu, line, high)
+        assert got.shape == nu.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_rejects_non_finite_grid():

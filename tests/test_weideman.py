@@ -108,7 +108,7 @@ def test_fixed_cost_baseline_throughput():
     assert all(0.75 <= r <= 1.25 for r in ratios), ratios
 
 
-@pytest.mark.parametrize("degree", [3, 7, 2, 0, -4, 10.5])
+@pytest.mark.parametrize("degree", [3, 7, 2, 0, -4, 10.5, math.inf, math.nan])
 def test_bad_degree_rejected(degree):
     with pytest.raises(DomainError):
         weideman_coefficients(degree)
