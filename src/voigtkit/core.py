@@ -114,19 +114,18 @@ _BLOCK = 16384
 _THREAD_BLOCKS = 3
 
 #: Largest public batch call, in points of its converted input, that runs
-#: under the process-wide lock ``_serial`` from that conversion to the
-#: returned array, so concurrent small calls run one at a time.  Each numpy
-#: call on 500 or more elements hands the interpreter lock to the other
-#: caller, so two caller threads making unlocked calls lose more to the
-#: hand-offs than the second core gives them.  eval_batch on bulk-upper
-#: points, Mpt/s for 1 caller / 2 callers (CPU/wall) / 2 callers locked:
-#: 1024 points 3.93 / 1.79 (1.23) / 3.74; 4096 7.09 / 4.56 (1.40) / 7.19;
-#: 8192 8.03 / 7.86 (1.48) / 9.08; 9216 9.98 / 9.82 (1.54) / 10.24; 10240
-#: 11.41 / 11.11 (1.58) / 10.59; 16384 12.32 / 13.29 (1.62) / 11.14 (2-core
-#: Xeon, numpy 2.4, 7 rounds; locked CPU/wall 1.00).  Two more runs agreed:
-#: the lock won at 9216 by 4-9% and lost or tied from 10240 on.  The
-#: library's own pool needs 2*_THREAD_BLOCKS thread blocks, far more
-#: points, so it never runs locked.
+#: under the process-wide lock ``_serial`` from there to its result, so concurrent
+#: small calls run one at a time.  Each numpy call on 500 or more elements
+#: hands the interpreter lock to the other caller, so two caller threads
+#: making unlocked calls lose more to the hand-offs than the second core
+#: gives them.  eval_batch on bulk-upper points, Mpt/s for 1 caller / 2
+#: callers (CPU/wall) / 2 callers locked: 1024 points 3.93 / 1.79 (1.23) /
+#: 3.74; 4096 7.09 / 4.56 (1.40) / 7.19; 8192 8.03 / 7.86 (1.48) / 9.08;
+#: 9216 9.98 / 9.82 (1.54) / 10.24; 10240 11.41 / 11.11 (1.58) / 10.59;
+#: 16384 12.32 / 13.29 (1.62) / 11.14 (2-core Xeon, numpy 2.4, 7 rounds;
+#: locked CPU/wall 1.00).  Two more runs agreed: the lock won at 9216 by
+#: 4-9% and lost or tied from 10240 on.  The library's own pool needs
+#: 2*_THREAD_BLOCKS thread blocks, far more points, so it never runs locked.
 _SERIAL_POINTS = 9216
 
 #: Radius of the series forms, eval_eq3 and eval_eq1: from |z| >= _FAR on
