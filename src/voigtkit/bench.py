@@ -225,9 +225,7 @@ def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     A = zs[core._inside(zs, core._R_GH)] * params.tau_m
 
     def exp_pass(a):
-        B = np.empty_like(a)
-        core._blocked(a.size, lambda lo, hi: core._exp_pass(a[lo:hi], out=B[lo:hi]))
-        return B
+        return core._blocked(a, lambda lo, hi, B: core._exp_pass(a[lo:hi], out=B[lo:hi]))
 
     t_exp, t_total = _timed_runs(
         [(exp_pass, A), (lambda q: core.eval_batch(q, params), zs)], repeats)

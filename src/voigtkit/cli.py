@@ -244,10 +244,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ReflectionOverflowError, OracleConvergenceError,
+    except (ValueError, MemoryError, ReflectionOverflowError, OracleConvergenceError,
             BenchmarkError, FileNotFoundError) as e:
-        # ValueError covers DomainError and argument-parsing of values
-        print(f"voigtkit: error: {e}", file=sys.stderr)
+        # ValueError covers DomainError and argument-parsing of values, MemoryError a huge axis
+        print(f"voigtkit: error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -489,27 +489,29 @@ def _w_upper(z, params):
     return out
 
 
-def _blocked(n: int, run, workers: int = 1) -> None:
-    """Call ``run(lo, hi)`` on consecutive blocks covering range(n): on
+def _blocked(z: np.ndarray, run, workers: int = 1) -> np.ndarray:
+    """The output ``out = np.empty_like(z)`` of a blocked pass over the flat
+    array ``z``, filled by ``run(lo, hi, out)`` on consecutive blocks: on
     threads, blocks of ``2*_BLOCK`` points taken in order by as many of the
     ``workers`` as get ``_THREAD_BLOCKS`` blocks each; inline, blocks of
     ``_BLOCK``.  With fewer than two such workers the call runs inline.
     The exception that propagates is that of the lowest block that
     raised."""
-    starts = range(0, n, 2 * _BLOCK)
-    threads = min(int(workers), len(starts) // _THREAD_BLOCKS)
-
-    if threads < 2:
-        for lo in range(0, n, _BLOCK):
-            run(lo, min(lo + _BLOCK, n))
-        return
+    n, out = z.size, np.empty_like(z)
+    threads = min(int(workers), len(range(0, n, 2 * _BLOCK)) // _THREAD_BLOCKS)
+    step = _BLOCK if threads < 2 else 2 * _BLOCK
 
     def one(lo):
-        run(lo, min(lo + 2 * _BLOCK, n))
+        run(lo, min(lo + step, n), out)
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        for _ in ex.map(one, starts):     # results in block order
-            pass
+    if threads < 2:
+        for lo in range(0, n, step):
+            one(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            for _ in ex.map(one, range(0, n, step)):     # results in block order
+                pass
+    return out
 
 
 def _gh_table(n_nodes: int) -> tuple:
@@ -536,21 +538,28 @@ def _gh_table(n_nodes: int) -> tuple:
 _GH_TABLE = _gh_table(_GH_NODES)
 
 
+def _horner(coeffs, v, out, scratch):
+    """The polynomial with ``coeffs`` (highest power first, at least two) at
+    ``v``, into ``out``: a flat Horner recurrence started at c_0*v + c_1,
+    through the ``scratch`` row, so no complex multiply is aliased."""
+    c0, c1, *rest = coeffs
+    np.multiply(v, c0, out=scratch)
+    np.add(scratch, c1, out=out)
+    for c in rest:
+        np.multiply(out, v, out=scratch)
+        np.add(scratch, c, out=out)
+
+
 def _w_gauss_hermite(z: np.ndarray) -> np.ndarray:
     """w outside the series radius in the closed upper half-plane (1-D
     input): the Gauss-Hermite quadrature u*N(v)/D(v) of ``_GH_TABLE``, N and
-    D each from a flat Horner recurrence started at c_0*v + c_1, through a
-    scratch row ``S``.  u = 0.5/(0.5*z) is 1/z bit for bit where that is
+    D each by ``_horner``.  u = 0.5/(0.5*z) is 1/z bit for bit where that is
     normal, and its divisor cannot overflow."""
     u = np.divide(0.5, 0.5 * z)
     v = np.multiply(u, u)
     N, D, S = np.empty((3, z.size), np.complex128)
-    for P, (c0, c1, *c) in zip((N, D), _GH_TABLE):
-        np.multiply(v, c0, out=S)
-        np.add(S, c1, out=P)
-        for ck in c:
-            np.multiply(P, v, out=S)
-            np.add(S, ck, out=P)
+    for P, c in zip((N, D), _GH_TABLE):
+        _horner(c, v, P, S)
     np.multiply(u, N, out=S)
     return np.divide(S, D, out=N)
 
@@ -610,12 +619,11 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
     indices ``li`` where Im z < 0), its evaluator returns their values, and
     those at ``li`` take w(z) = 2*exp(-z^2) - w(-z) before the one scatter.
     ``eval_batch`` passes ``radius = _R_GH``, the series forms ``_FAR``."""
-    out = np.empty_like(z)
 
     def quadrature(zs, at):
         return _w_gauss_hermite(zs)
 
-    def run(lo, hi):
+    def run(lo, hi, out):
         zb = z[lo:hi]
         inner = _inside(zb, radius)
         i = hi                                   # the block's first overflow
@@ -640,8 +648,7 @@ def _evaluate(z: np.ndarray, series, radius: float, workers: int = 1) -> np.ndar
                 f"2*exp(-z^2) - w(-z) overflows binary64 at index {i} "
                 f"(z = {z[i]!r}); lower half-plane value not representable", index=i)
 
-    _blocked(z.size, run, workers)
-    return out
+    return _blocked(z, run, workers)
 
 
 def _production(params):

@@ -8,10 +8,9 @@ polynomial in the Moebius variable Z = (L + i*z)/(L - i*z).
 
 Per-element cost is a fixed-length Horner recurrence, independent of z,
 which makes this the standard fast baseline for speed/accuracy comparisons
-against the Fourier-series evaluator.  Batch evaluation is not blocked:
-the kernel holds five full-size complex temporaries, while the core
-evaluator works in blocks of 16384 points, so once the input outgrows the
-caches a timing comparison also measures this difference in memory traffic.
+against the Fourier-series evaluator.  Batch evaluation runs on the core
+evaluator's blocks (``core._blocked``) and Horner loop, so both sides of a
+timing comparison work in cache-sized temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _batch, _integer, _scalar_call
+from .core import _batch, _blocked, _horner, _integer, _scalar_call
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
@@ -102,31 +101,25 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
 
 
 def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
-    """Vectorized :func:`weideman_w`; bitwise identical to a scalar sweep.
-    Calls whose input converts to at most 9216 points run one at a time
-    across caller threads, under the lock of :func:`voigtkit.core.eval_batch`."""
+    """Vectorized :func:`weideman_w`, in blocks; bitwise identical to a scalar
+    sweep.  Calls whose input converts to at most 9216 points run one at a
+    time across caller threads, under the lock of :func:`voigtkit.core.eval_batch`."""
     coeffs = coeffs if coeffs is not None else _DEFAULT_COEFFS
-    return _batch(zs, lambda z: _weideman_kernel(z, coeffs), "weideman_w", open_half=True)
+    return _batch(zs, lambda z: _blocked(
+        z, lambda lo, hi, out: _weideman_kernel(z[lo:hi], coeffs, out[lo:hi])),
+        "weideman_w", open_half=True)
 
 
-def _weideman_kernel(z: np.ndarray, coeffs: WeidemanCoeffs) -> np.ndarray:
-    # aliased complex multiplies avoided (numpy's size-1 aliased path can
-    # round differently); the Horner recurrence ping-pongs two buffers
+def _weideman_kernel(z: np.ndarray, coeffs: WeidemanCoeffs, out: np.ndarray) -> None:
+    """w at the points ``z`` into ``out``, as :func:`weideman_w` states it."""
     L = coeffs.l_param
-    poly = coeffs.poly
     iz = 1j * z
     denom = L - iz                      # L - i*z, reused for both closing terms
     Z = L + iz
     Z /= denom
-    p = np.full_like(z, poly[0])
-    q = np.empty_like(z)
-    for c in poly[1:]:
-        np.multiply(p, Z, out=q)
-        q += c
-        p, q = q, p
-    p *= 2.0
-    p /= denom
-    p /= denom
-    np.divide(1.0 / _SQRT_PI, denom, out=q)
-    p += q
-    return p
+    _horner(coeffs.poly, Z, out, iz)    # iz's row is the scratch from here
+    out *= 2.0
+    out /= denom
+    out /= denom
+    np.divide(1.0 / _SQRT_PI, denom, out=Z)
+    out += Z

@@ -78,15 +78,18 @@ def test_chunking_and_workers_do_not_change_bits():
 def test_block_size_does_not_change_bits(monkeypatch):
     # the block size is a speed choice only: blocks of 8192 points give
     # the bits of the default size, threaded and inline, for all three
-    # batch evaluators (eq1 on a prefix that spans several blocks)
+    # batch evaluators and the Weideman comparator (eq1 on a prefix that
+    # spans several blocks)
     zs = _chunking_points()
     eq1_points = zs[:2 * BLOCK + 3]
-    default = (vk.eval_batch(zs), vk.eval_eq3_batch(zs), vk.eval_eq1_batch(eq1_points))
+    default = (vk.eval_batch(zs), vk.eval_eq3_batch(zs), vk.eval_eq1_batch(eq1_points),
+               vk.weideman_batch(zs))
     monkeypatch.setattr(core, "_BLOCK", 8192)
     assert core._BLOCK != BLOCK
     assert bitwise_equal(_check_chunking_and_workers(zs), default[0])
     assert bitwise_equal(vk.eval_eq3_batch(zs), default[1])
     assert bitwise_equal(vk.eval_eq1_batch(eq1_points), default[2])
+    assert bitwise_equal(vk.weideman_batch(zs), default[3])
 
 
 def test_block_boundaries_same_bits():
@@ -202,8 +205,8 @@ def test_first_error_across_blocks_is_lowest_index():
 
 
 @pytest.mark.parametrize("func,y_min", [(vk.eval_batch, 0.1), (vk.eval_batch, -5.0),
-                                        (vk.eval_eq1_batch, 0.1)],
-                         ids=["upper", "mixed", "eq1"])
+                                        (vk.eval_eq1_batch, 0.1), (vk.weideman_batch, 0.1)],
+                         ids=["upper", "mixed", "eq1", "weideman"])
 def test_peak_memory_is_output_plus_blocks(func, y_min):
     rng = np.random.default_rng(12)
     n = 1 << 20

@@ -151,6 +151,26 @@ def test_non_finite_axis_is_domain_error(capsys, argv):
     assert err.startswith("voigtkit: error: bad grid axis")
 
 
+@pytest.mark.parametrize("argv", [
+    ("grid", "--x-min", "0", "--x-max", "1", "--x-step", "1e-10", "--y-list", "1"),
+    ("voigt", "--center", "0", "--strength", "1", "--doppler-hwhm", "0.5",
+     "--lorentz-hwhm", "0.1", "--nu-min", "0", "--nu-max", "1", "--nu-step", "1e-10"),
+], ids=["grid", "voigt"])
+def test_axis_out_of_memory_is_error(capsys, monkeypatch, argv):
+    # a finite axis too large to allocate (1e10 points here, 75 GiB):
+    # exit 1 with the usual message, no traceback; the allocation is made
+    # to fail rather than attempted
+    def arange(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(10000000001,) and data type int64")
+
+    monkeypatch.setattr(np, "arange", arange)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("voigtkit: error: Unable to allocate 74.5 GiB")
+
+
 @pytest.fixture()
 def small_grid_file(tmp_path):
     path = tmp_path / "grid.json"

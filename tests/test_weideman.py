@@ -90,8 +90,9 @@ def test_fixed_per_element_cost_is_documented_by_shape():
 
 def test_fixed_cost_baseline_throughput():
     # the per-element algorithm never adapts to z, so throughput is flat
-    # across input distributions and sizes.  All points stay in the
-    # DRAM-bound regime (cache-resident sizes read much faster), and numpy's
+    # across input distributions and sizes.  The batch runs in the core's
+    # blocks, so every configuration works in cache-sized temporaries and
+    # the input size moves only the streaming of input and output; numpy's
     # complex division takes value-dependent branches worth ~20% on its own,
     # hence the 25% band: an adaptive method would vary by integer factors.
     # The four configurations run round-robin, so that a slow phase of the
