@@ -347,10 +347,15 @@ def _series_ratio_p4(w: np.ndarray) -> np.ndarray:
 #
 # Kernel ops do not broadcast one operand across the rows of another where
 # a flat form measures faster: numpy (2.4) runs such an op through its
-# iterator's copy buffer whenever the whole op fits in the buffer's 8192
-# elements, so adding a (2, 1) column to a (2, 4096) complex array took
-# 9.5 us and to a (2, 4097) one 5.0 us (2-core Xeon).  _w_upper's term
-# table keeps its broadcasts: split into per-row calls it measured slower.
+# iterator's copy buffer while a few of its whole rows fit in the buffer's
+# 8192 elements, so adding a (2, 1) column to a (2, 4096) complex array
+# took 9.5 us and to a (2, 4097) one 5.0 us.  _w_upper's term table keeps
+# its broadcasts, as per-row calls measured slower; on its 12-row float64
+# table they cost 0.7-1.1 ns a value up to m = 2730 points (three rows
+# buffered) and 0.25-0.4 ns from m = 2731 on, and in the term-major layout
+# the edge lies at 2048/2049.  So the term loop runs under a 16-element
+# buffer, which leaves those ops unbuffered at every m: 0.25-0.5 ns a
+# value from m = 1000 on (2-core Xeon, numpy 2.4.6).
 
 def _rotation(t, e, out):
     """e*exp(i*theta) = e*((1 - t^2) + 2it)/(1 + t^2) for t = tan(theta/2),
@@ -399,12 +404,12 @@ def _singular(A, n_max, radius=GUARD_RADIUS):
 
 
 def _tree_sum(T, count):
-    """Sum rows 0..count-1 of T's middle axis into row 0 by halving: each
-    step adds whole slices elementwise, so a point's sum has the same bits
-    whatever the number of points."""
+    """Sum terms 0..count-1 of the term-major table T into T[0] by halving:
+    each step adds one contiguous block of whole terms elementwise, so a
+    point's sum has the same bits whatever the number of points."""
     while count > 1:
         h = count // 2
-        T[:, :h] += T[:, count - h:count]
+        T[:h] += T[count - h:count]
         count -= h
 
 
@@ -417,8 +422,10 @@ def _w_upper(z, params):
 
     The term table is real: a_n/(n^2 pi^2 - C) = a_n*(d_n + i Im C)/(d_n^2 +
     (Im C)^2) with d_n = n^2 pi^2 - Re C, one real division per term.  The
-    odd and the even terms each fill a (terms x points) table; for
-    |z| < _FAR the squares stay in binary64 range.  The closing is complex:
+    odd and the even terms each fill a term-major (terms x 2 x points)
+    table, term n's Re and Im weights side by side, under a 16-element
+    ufunc buffer (see the kernel comment above); for |z| < _FAR the squares
+    stay in binary64 range.  The closing is complex:
     the two sums become S_alt and S_even, and the three products and the
     quotient above are one complex ufunc each.  A sparse patch: at the
     points ``_singular`` places within _PATCH_RADIUS of +-n*pi, term n gets
@@ -434,7 +441,7 @@ def _w_upper(z, params):
     rows = np.empty((7, m))
     P = rows[0:4].reshape(2, 2, m)                 # (Re, Im/Im C) sums of odd, even n
     cr, ci, sq = rows[4:]
-    T = np.empty((2, (nt + 1) // 2, m))            # T[0]: Re weights, T[1]: Im weights
+    T = np.empty(((nt + 1) // 2, 2, m))            # T[:, 0]: Re weights, T[:, 1]: Im weights
     hit, k, sign = _singular(A, nt, _PATCH_RADIUS)
     z0 = j = hit                                   # hits near 0, near +-kk*pi
     if hit.size:
@@ -448,20 +455,25 @@ def _w_upper(z, params):
     ci += ci                                    # Im C
     np.square(ci, out=sq)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, (npi2, an) in enumerate(params.parity_terms):
-            count = npi2.shape[0]
-            Tp = T[:, :count]
-            np.subtract(npi2, cr, out=Tp[0])                # d_n
-            np.square(Tp[0], out=Tp[1])
-            Tp[1] += sq
-            np.divide(an, Tp[1], out=Tp[1])                 # a_n/|.|^2
-            Tp[0] *= Tp[1]
-            if j.size:
-                mine = (kk & 1) != p
-                Tp[:, (kk[mine] - 1) // 2, j[mine]] = 0.0
-            _tree_sum(Tp, count)
-            P[p] = Tp[:, 0] if count else 0.0
-        del T, Tp                               # the closing's rows take its memory
+        old = np.setbufsize(16)
+        try:
+            for p, (npi2, an) in enumerate(params.parity_terms):
+                count = npi2.shape[0]
+                Tp = T[:count]
+                re, im = Tp[:, 0], Tp[:, 1]
+                np.subtract(npi2, cr, out=re)               # d_n
+                np.square(re, out=im)
+                im += sq
+                np.divide(an, im, out=im)                   # a_n/|.|^2
+                re *= im
+                if j.size:
+                    mine = (kk & 1) != p
+                    Tp[(kk[mine] - 1) // 2, :, j[mine]] = 0.0
+                _tree_sum(Tp, count)
+                P[p] = Tp[0] if count else 0.0
+        finally:
+            np.setbufsize(old)                  # numpy < 2 keeps it past errstate
+        del T, Tp, re, im                       # the closing's rows take its memory
         S_alt, S_even, U = np.empty((3, m), np.complex128)
         (ov, o_i), (ev, e_i) = P
         np.subtract(ev, ov, out=S_alt.real)
