@@ -25,8 +25,8 @@ def _series_points(n, rng):
     z[::8] = z[::8].real + 0j
     near = rng.random(n) < 0.5
     m = int(near.sum())
-    tau = rng.choice([p.value[0] for p in PRESETS], m)
-    k = np.rint(rng.uniform(-1.0, 1.0, m) * np.where(tau == 12.0, 23, 12))
+    tau, n_terms = np.array([p.value for p in PRESETS])[rng.integers(0, len(PRESETS), m)].T
+    k = np.rint(rng.uniform(-1.0, 1.0, m) * n_terms)
     d = np.where(rng.random(m) < 0.1, 0.0, 10.0 ** rng.uniform(-12.0, -2.0, m))
     d = d * np.exp(1j * rng.choice([0.0, 0.5, 1.0, 1.5], m) * math.pi)
     z[near] = (k * math.pi + d) / tau
