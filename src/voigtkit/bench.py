@@ -197,12 +197,13 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
     ValueError
         If impl is not one of eq1, eq3, weideman.
     DomainError
-        If repeats < 3 or zs is empty.
+        If repeats < 3, zs is empty or workers is not an integer >= 1.
     BenchmarkError
         If the correctness guard fails, the timer resolution is unusable, or
         run-to-run checksums differ.
     """
     zs = _checked(zs, repeats)
+    workers = core._integer(workers, "workers", 1)
     label, fn, reference, bound = _resolve_impl(impl, params, degree, workers)
     _correctness_guard(label, zs, fn, reference, bound)
     times, = _timed_runs([(fn, zs)], repeats)

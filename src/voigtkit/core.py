@@ -288,7 +288,7 @@ def _integer(value, name: str, least: int, even: bool = False) -> int:
     try:
         n = int(value)
         ok = n == value and n >= least and not (even and n % 2)
-    except (OverflowError, ValueError):          # inf, nan, a non-numeric string
+    except (OverflowError, TypeError, ValueError):   # inf, nan, None, a non-numeric string
         ok = False
     if not ok:
         kind = "an even integer" if even else "an integer"
@@ -530,6 +530,8 @@ def _gh_table(n_nodes: int) -> tuple:
     """Numerator (row 0) and denominator (row 1) coefficients of the
     ``n_nodes``-point Gauss-Hermite quadrature of w, highest power first,
     as Python scalars, so the Horner loops broadcast no coefficient rows.
+    N has one degree less than D, so row 0 is one entry shorter: a zero
+    leading coefficient would cost a multiply and an add per point.
 
     The quadrature (i/pi)*sum_k H_k/(z - t_k), summed over the +-t pairs,
     is u*N(v)/D(v) with u = 1/z, v = u^2, D(v) = prod (1 - t_k^2 v) and
@@ -544,7 +546,7 @@ def _gh_table(n_nodes: int) -> tuple:
         rest = reduce(P.polymul, factors[:k] + factors[k + 1:], 1.0)
         table[0, :rest.size] += hk * rest
     table[0] *= 2j / _PI
-    return tuple(map(tuple, table[:, ::-1].tolist()))
+    return tuple(table[0, -2::-1].tolist()), tuple(table[1, ::-1].tolist())
 
 
 _GH_TABLE = _gh_table(_GH_NODES)
@@ -784,11 +786,13 @@ def eval_batch(zs, params=None, workers: int = 1) -> np.ndarray:
     Raises
     ------
     DomainError
-        Non-finite element (reported with its index).
+        Non-finite element (reported with its index), or ``workers`` not an
+        integer >= 1.
     ReflectionOverflowError
         2*exp(-z^2) - w(-z) overflow for a lower half-plane element (the
         first such index).
     """
+    workers = _integer(workers, "workers", 1)
     return _batch(zs, lambda z: _evaluate(z, _production(params), _R_GH, workers))
 
 

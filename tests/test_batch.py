@@ -247,6 +247,12 @@ def test_domain_error_carries_index():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2"])
+def test_bad_workers_is_domain_error(workers):
+    with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+        vk.eval_batch([1 + 1j], workers=workers)
+
+
 def test_overflow_error_carries_index():
     zs = np.array([1 + 1j, 2 + 2j, -40j])
     with pytest.raises(ReflectionOverflowError) as err:

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -107,6 +108,14 @@ def test_rejects_bad_protocol():
         time_implementation("eq3", np.array([], dtype=complex), repeats=5)
     with pytest.raises(ValueError):
         time_implementation("bogus", zs, repeats=3)
+
+
+@pytest.mark.parametrize("impl", ["eq3", "eq1"])
+@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2"])
+def test_bad_workers_rejected_before_timing(impl, workers):
+    zs = generate_inputs(InputSpec(size=1 << 10, seed=42))
+    with pytest.raises(DomainError, match="workers must be an integer >= 1"):
+        time_implementation(impl, zs, repeats=3, workers=workers)
 
 
 def test_correctness_guard_aborts_on_garbage(monkeypatch):

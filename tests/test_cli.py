@@ -244,5 +244,14 @@ def test_bench_cli_bogus_impl(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bench_cli_bad_workers_is_error(capsys, workers):
+    code, out, err = run(capsys, "bench", "--impls", "eq3", "--size", "1024",
+                         "--repeats", "3", "--workers", workers, "--output", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("voigtkit: error: workers must be an integer >= 1")
+
+
 def test_parser_prog_name():
     assert build_parser().prog == "voigtkit"

@@ -23,6 +23,14 @@ def test_singular_points_inside_series_region():
         assert n_terms * math.pi / tau < core._R_GH
 
 
+def test_quadrature_rows_lead_with_nonzero_coefficient():
+    # N has degree 5 and D degree 6: a zero leading entry would cost every
+    # quadrature point a multiply and an add in core._horner
+    N, D = core._GH_TABLE
+    assert (len(N), len(D)) == (core._GH_NODES // 2, core._GH_NODES // 2 + 1)
+    assert N[0] != 0 and D[0] != 0
+
+
 def test_gauss_hermite_in_gate_against_oracle():
     rng = np.random.default_rng(707)
     shell = rng.uniform(7.0, 7.7, 120) * np.exp(1j * rng.uniform(0.0, math.pi, 120))
