@@ -8,11 +8,9 @@ on first use of one of their names, which then stays bound here."""
 
 import importlib
 
-from .core import (GUARD_RADIUS, ApproxParams, Preset, VoigtLine, eval_batch,
-                   eval_eq1, eval_eq1_batch, eval_eq3, eval_eq3_batch, eval_w,
-                   fourier_coefficients, voigt_function, voigt_profile)
-from .exceptions import (BenchmarkError, DomainError, OracleConvergenceError,
-                         ReflectionOverflowError)
+from . import core, exceptions
+from .core import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
@@ -28,17 +26,7 @@ _DEFERRED = {
 }
 _HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # core
-    "GUARD_RADIUS", "ApproxParams", "Preset", "VoigtLine",
-    "fourier_coefficients", "eval_eq1", "eval_eq1_batch", "eval_eq3",
-    "eval_eq3_batch", "eval_w", "eval_batch", "voigt_function", "voigt_profile",
-    *_DEFERRED["oracle"], *_DEFERRED["weideman"], *_DEFERRED["bench"],
-    # exceptions
-    "DomainError", "ReflectionOverflowError", "OracleConvergenceError",
-    "BenchmarkError",
-]
+__all__ = ["__version__", *core.__all__, *_HOME, *exceptions.__all__]
 
 
 def __getattr__(name):

@@ -44,7 +44,8 @@ class InputSpec:
     y_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "size", core._integer(self.size, "size", 0))
+        for name in ("size", "seed"):
+            object.__setattr__(self, name, core._integer(getattr(self, name), name, 0))
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -81,8 +82,7 @@ class BenchRecord:
     exp_fraction: float | None = None
 
     def __post_init__(self):
-        if self.repeats < 3:
-            raise DomainError(f"published records need repeats >= 3, got {self.repeats!r}")
+        object.__setattr__(self, "repeats", core._integer(self.repeats, "repeats", 3))
         if not self.median_seconds > 0.0:
             raise DomainError(f"median_seconds must be > 0, got {self.median_seconds!r}")
         expected = self.size / self.median_seconds
@@ -176,15 +176,14 @@ def _check_resolution(median: float) -> None:
             f"resolution {res:.1e}s; increase the input size")
 
 
-def _checked(zs, repeats: int) -> np.ndarray:
-    """``zs`` as a flat complex128 array; DomainError if it is empty or
-    repeats < 3."""
-    if repeats < 3:
-        raise DomainError(f"repeats must be >= 3, got {repeats!r}")
+def _checked(zs, repeats: int) -> tuple[np.ndarray, int]:
+    """``zs`` as a flat complex128 array and ``repeats`` as an int;
+    DomainError if repeats is not an integer >= 3 or zs is empty."""
+    repeats = core._integer(repeats, "repeats", 3)
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     if zs.size == 0:
         raise DomainError("cannot benchmark an empty input")
-    return zs
+    return zs, repeats
 
 
 def time_implementation(impl, zs, repeats: int = 5, params=None,
@@ -197,12 +196,13 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
     ValueError
         If impl is not one of eq1, eq3, weideman.
     DomainError
-        If repeats < 3, zs is empty or workers is not an integer >= 1.
+        If repeats is not an integer >= 3, zs is empty or workers is not an
+        integer >= 1.
     BenchmarkError
         If the correctness guard fails, the timer resolution is unusable, or
         run-to-run checksums differ.
     """
-    zs = _checked(zs, repeats)
+    zs, repeats = _checked(zs, repeats)
     workers = core._integer(workers, "workers", 1)
     label, fn, reference, bound = _resolve_impl(impl, params, degree, workers)
     _correctness_guard(label, zs, fn, reference, bound)
@@ -216,14 +216,14 @@ def time_implementation(impl, zs, repeats: int = 5, params=None,
 def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     """Share of total batch-evaluation time spent on the single
     transcendental pass B = exp(i*A): the kernel's own exp pass, run over
-    the kernel's blocks on the points where the kernel runs it, those that
-    ``core._inside`` places within core._R_GH.  The two sides run
+    the kernel's blocks on the points where the kernel runs it, those with
+    ``np.abs(z) < core._R_GH``.  The two sides run
     alternately on the same data, one of each per repeat, and the share is
     the median of the per-repeat ratios, so that the machine's speed drift
     cancels."""
-    zs = _checked(zs, repeats)
+    zs, repeats = _checked(zs, repeats)
     params = core._resolve_params(params)
-    A = zs[core._inside(zs, core._R_GH)] * params.tau_m
+    A = zs[np.abs(zs) < core._R_GH] * params.tau_m
 
     def exp_pass(a):
         return core._blocked(a, lambda lo, hi, B: core._exp_pass(a[lo:hi], out=B[lo:hi]))

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "ReflectionOverflowError", "OracleConvergenceError",
+           "BenchmarkError"]
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's mathematical domain.

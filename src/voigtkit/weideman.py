@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _batch, _blocked, _horner, _integer, _scalar_call
+from .core import _SQRT_PI, _batch, _blocked, _horner, _integer, _scalar_call
 from .exceptions import DomainError
 
 __all__ = ["WeidemanCoeffs", "weideman_coefficients", "weideman_w", "weideman_batch"]
-
-_SQRT_PI = math.sqrt(math.pi)
 
 #: Term count used when no degree is given; the customary configuration,
 #: good to ~1e-6 relative over the upper half-plane.
@@ -96,6 +94,8 @@ def weideman_w(z, coeffs: WeidemanCoeffs | None = None) -> complex:
     DomainError
         If z is non-finite or Im z <= 0 (the method is derived for the open
         upper half-plane); ``index`` is 0.
+    TypeError
+        If ``coeffs`` is neither a WeidemanCoeffs nor None.
     """
     return _scalar_call(weideman_batch, z, coeffs)
 
@@ -104,7 +104,9 @@ def weideman_batch(zs, coeffs: WeidemanCoeffs | None = None) -> np.ndarray:
     """Vectorized :func:`weideman_w`, in blocks; bitwise identical to a scalar
     sweep.  Calls whose input converts to at most 9216 points run one at a
     time across caller threads, under the lock of :func:`voigtkit.core.eval_batch`."""
-    coeffs = coeffs if coeffs is not None else _DEFAULT_COEFFS
+    coeffs = _DEFAULT_COEFFS if coeffs is None else coeffs
+    if not isinstance(coeffs, WeidemanCoeffs):
+        raise TypeError(f"expected WeidemanCoeffs or None, got {type(coeffs)!r}")
     return _batch(zs, lambda z: _blocked(
         z, lambda lo, hi, out: _weideman_kernel(z[lo:hi], coeffs, out[lo:hi])),
         "weideman_w", open_half=True)

@@ -247,7 +247,7 @@ def test_domain_error_carries_index():
     assert err.value.index == 1
 
 
-@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2"])
+@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2", True])
 def test_bad_workers_is_domain_error(workers):
     with pytest.raises(DomainError, match="workers must be an integer >= 1"):
         vk.eval_batch([1 + 1j], workers=workers)

@@ -46,6 +46,8 @@ def test_float_size_is_stored_as_int():
     dict(size=8, x_range=(0.0, np.inf)),
     dict(size=np.inf),
     dict(size=np.nan),
+    dict(size=8, seed=1.5),
+    dict(size=8, seed=-1),
 ])
 def test_bad_input_spec_rejected(kwargs):
     with pytest.raises(DomainError):
@@ -111,11 +113,24 @@ def test_rejects_bad_protocol():
 
 
 @pytest.mark.parametrize("impl", ["eq3", "eq1"])
-@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2"])
+@pytest.mark.parametrize("workers", [math.inf, math.nan, None, 0, -3, 2.5, "2", True])
 def test_bad_workers_rejected_before_timing(impl, workers):
     zs = generate_inputs(InputSpec(size=1 << 10, seed=42))
     with pytest.raises(DomainError, match="workers must be an integer >= 1"):
         time_implementation(impl, zs, repeats=3, workers=workers)
+
+
+@pytest.mark.parametrize("repeats", [3.5, math.nan, math.inf, None, "4"])
+def test_bad_repeats_rejected_before_guard(monkeypatch, repeats):
+    def guard(*args):
+        raise AssertionError("the correctness guard ran")
+
+    monkeypatch.setattr(bench_mod, "_correctness_guard", guard)
+    zs = generate_inputs(InputSpec(size=1 << 10, seed=42))
+    for run in (lambda: time_implementation("eq3", zs, repeats=repeats),
+                lambda: vk.exp_time_fraction(zs, repeats=repeats)):
+        with pytest.raises(DomainError, match="repeats must be an integer >= 3"):
+            run()
 
 
 def test_correctness_guard_aborts_on_garbage(monkeypatch):

@@ -60,9 +60,9 @@ def test_bad_tau_rejected(tau):
         fourier_coefficients(tau, 5)
 
 
-@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("n", [0, -3, True, np.True_, "23"])
 def test_bad_n_rejected(n):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="n_terms must be an integer >= 1"):
         fourier_coefficients(12.0, n)
 
 
@@ -105,6 +105,10 @@ def test_direct_construction_validates():
         vk.ApproxParams(12.0, 2.5)
     with pytest.raises(DomainError):
         vk.ApproxParams(12.0, 0)
+    # a whole float is its integer: 23.0 builds HIGH's table
+    whole = vk.ApproxParams(12.0, 23.0)
+    assert whole == vk.Preset.HIGH.params and type(whole.n_terms) is int
+    assert whole.coefficients.tobytes() == vk.Preset.HIGH.params.coefficients.tobytes()
     for tau, n in [(12.0, 23), (9.0, 12), (7.3, 31), (12, 3)]:
         p = vk.ApproxParams(tau, n)
         assert p.coefficients.tobytes() == fourier_coefficients(tau, n).coefficients.tobytes()

@@ -1,6 +1,7 @@
 """The series kernel's term loop (core._w_upper): its bits on either side of
-numpy's copy-buffer edge, and the caller's ufunc buffer size, which the
-loop changes for its own duration only."""
+numpy's copy-buffer edge and of the series region's radius, and the
+caller's ufunc buffer size, which the loop changes for its own duration
+only."""
 
 import math
 
@@ -53,6 +54,37 @@ def test_series_batch_is_scalar_sweep_across_buffer_edge(n, preset):
     scalar = np.array([vk.eval_w(q, preset) for q in z[at]])
     assert np.isfinite(w).all()
     assert w[at].tobytes() == scalar.tobytes()
+
+
+def _ring(radius, lower):
+    """Points within a few ulps of |z| = ``radius``: 101 angles over the
+    upper half-plane (the whole plane if ``lower``), each at the radii
+    radius*(1 + k*2^-52), k = -4..4."""
+    theta = np.linspace(-math.pi if lower else 0.0, math.pi, 101)
+    r = radius * (1.0 + np.arange(-4, 5) * 2.0 ** -52)
+    return (r[:, None] * np.exp(1j * theta)).ravel()
+
+
+RINGS = {
+    "eval_batch": (vk.eval_batch, vk.eval_w, core._R_GH, True),
+    "eval_eq3_batch": (vk.eval_eq3_batch, vk.eval_eq3, core._FAR, False),
+    "eval_eq1_batch": (vk.eval_eq1_batch, vk.eval_eq1, core._FAR, False),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
+@pytest.mark.parametrize("name", RINGS)
+def test_region_edge_ring_batch_is_scalar_sweep(name, preset):
+    # the region split is numpy's |z| < radius, at 7 for eval_batch and at
+    # 1e8 for the series forms: points within rounding of the radius fall
+    # on either side, and on the same side in a batch as alone
+    batch, scalar, radius, lower = RINGS[name]
+    z = _ring(radius, lower)
+    inner = np.abs(z) < radius
+    assert inner.any() and not inner.all()
+    w = batch(z, preset)
+    assert np.isfinite(w).all()
+    assert w.tobytes() == np.array([scalar(q, preset) for q in z]).tobytes()
 
 
 def _overflowing_call():

@@ -137,6 +137,19 @@ def test_batch_rejects_with_index():
     assert err.value.index == 1
 
 
+@pytest.mark.parametrize("coeffs", [16, vk.Preset.HIGH])
+def test_coeffs_of_another_type_is_type_error(monkeypatch, coeffs):
+    # refused before the input is converted or the lock is taken
+    def batch(*args, **kwargs):
+        raise AssertionError("the batch entry path ran")
+
+    monkeypatch.setattr(vk.weideman, "_batch", batch)
+    with pytest.raises(TypeError, match="expected WeidemanCoeffs or None"):
+        vk.weideman_batch([1 + 1j], coeffs)
+    with pytest.raises(TypeError, match="expected WeidemanCoeffs or None"):
+        weideman_w(1 + 1j, coeffs)
+
+
 def test_coeffs_validation():
     # l_param and poly are computed from the degree, not passed
     good = weideman_coefficients(8)
