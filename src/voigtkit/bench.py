@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -82,7 +82,8 @@ class BenchRecord:
     exp_fraction: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "repeats", core._integer(self.repeats, "repeats", 3))
+        for name, least in (("size", 1), ("repeats", 3)):
+            object.__setattr__(self, name, core._integer(getattr(self, name), name, least))
         if not self.median_seconds > 0.0:
             raise DomainError(f"median_seconds must be > 0, got {self.median_seconds!r}")
         expected = self.size / self.median_seconds
@@ -245,13 +246,16 @@ def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
 BENCH_CSV_HEADER = "impl,size,repeats,median_seconds,throughput,exp_fraction"
 
 
-def records_to_csv(records) -> str:
-    lines = [BENCH_CSV_HEADER]
-    for r in records:
-        frac = "" if r.exp_fraction is None else repr(r.exp_fraction)
-        lines.append(f"{r.impl},{r.size},{r.repeats},{r.median_seconds!r},"
-                     f"{r.throughput!r},{frac}")
+def _csv(header: str, rows) -> str:
+    """The header line, then one comma-joined line per row: a string as it
+    is, None as empty, a number by repr (shortest round-trip)."""
+    lines = [header] + [",".join("" if v is None else v if isinstance(v, str) else repr(v)
+                                 for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records) -> str:
+    return _csv(BENCH_CSV_HEADER, map(astuple, records))
 
 
 def parse_records_csv(text: str) -> list[BenchRecord]:

@@ -51,12 +51,6 @@ def _write(arg: str, data: str | bytes) -> None:
         fh.write(data)
 
 
-def _write_rows(arg: str, header: str, rows) -> None:
-    """CSV lines of repr-formatted numbers under a header line."""
-    lines = [header] + [",".join(map(repr, row)) for row in rows]
-    _write(arg, "\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -81,7 +75,7 @@ def _cmd_grid(args) -> int:
     w = core.eval_batch(pts, _preset(args.preset))
     table = np.column_stack([pts.real, pts.imag, w.real, w.imag])
     if args.format == "csv":
-        _write_rows(args.output, "x,y,re_w,im_w", table.tolist())
+        _write(args.output, bench_mod._csv("x,y,re_w,im_w", table.tolist()))
     elif args.format == "json":
         doc = {"columns": ["x", "y", "re_w", "im_w"], "rows": table.tolist()}
         _write(args.output, json.dumps(doc, sort_keys=True) + "\n")
@@ -132,7 +126,7 @@ def _cmd_bench(args) -> int:
         rec = bench_mod.time_implementation(
             name, zs, repeats=args.repeats, params=params,
             degree=args.degree, workers=args.workers)
-        if name == "eq3" and not args.no_exp_fraction:
+        if name == "eq3" and args.workers == 1 and not args.no_exp_fraction:
             frac = bench_mod.exp_time_fraction(zs, params, repeats=args.repeats)
             rec = dataclasses.replace(rec, exp_fraction=frac)
         records.append(rec)
@@ -142,7 +136,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     params = core.ApproxParams(args.tau_m, args.n)
-    _write_rows(args.output, "n,a_n", enumerate(params.coefficients.tolist()))
+    _write(args.output, bench_mod._csv("n,a_n", enumerate(params.coefficients.tolist())))
     return 0
 
 
@@ -152,7 +146,7 @@ def _cmd_voigt(args) -> int:
                           lorentz_hwhm=args.lorentz_hwhm)
     nu = _grid_axis(args.nu_min, args.nu_max, args.nu_step)
     prof = core.voigt_profile(nu, line, _preset(args.preset))
-    _write_rows(args.output, "nu,value", zip(nu.tolist(), prof.tolist()))
+    _write(args.output, bench_mod._csv("nu,value", zip(nu.tolist(), prof.tolist())))
     return 0
 
 
@@ -173,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
                             f"resolved against ${OUTPUT_DIR_ENV} when set)")
 
     def add_preset(p):
-        p.add_argument("--preset", choices=["high", "fast"], default="high",
-                       help="parameter preset (default: high)")
+        default = core.Preset.HIGH.name.lower()
+        p.add_argument("--preset", choices=[preset.name.lower() for preset in core.Preset],
+                       default=default, help=f"parameter preset (default: {default})")
 
     p = sub.add_parser("eval", help="evaluate w at one point")
     p.add_argument("--x", type=float, required=True)
@@ -206,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time implementations, emit CSV records")
     p.add_argument("--impls", default="eq1,eq3", help="comma list of eq1,eq3,weideman")
-    p.add_argument("--size", type=int, default=2**22)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--size", type=int, default=bench_mod.DEFAULT_INPUT_SPEC.size)
+    p.add_argument("--seed", type=int, default=bench_mod.DEFAULT_INPUT_SPEC.seed)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--degree", type=int, default=weideman.DEFAULT_DEGREE)
     p.add_argument("--workers", type=int, default=1,

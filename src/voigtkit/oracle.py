@@ -279,7 +279,7 @@ def error_scan(grid: GridSpec, evaluator, config: OracleConfig | int | None = No
         the offending grid point attached.
     """
     if not isinstance(grid, GridSpec):
-        grid = GridSpec(*grid)
+        raise TypeError(f"expected GridSpec, got {type(grid)!r}")
     config = _resolve_config(config)
     zs = grid.points()
     try:

@@ -194,6 +194,7 @@ class TestC6PropertySuite:
         report("C6 coefficient decay", ok, f"worst={worst:.2f} ulps gate<=2")
         assert ok
 
+    @pytest.mark.bitwise
     def test_batch_bitwise_equals_scalar_sweep(self, high):
         t0 = time.perf_counter()
         zs = vk.generate_inputs(vk.InputSpec(size=10**6, seed=31415,

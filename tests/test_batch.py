@@ -12,6 +12,8 @@ import voigtkit as vk
 from voigtkit import DomainError, ReflectionOverflowError
 from voigtkit import core
 
+pytestmark = pytest.mark.bitwise
+
 BLOCK = core._BLOCK
 POOLED = 4 * core._THREAD_BLOCKS * BLOCK      # from here workers=2 runs on threads
 

@@ -64,6 +64,12 @@ def test_record_invariants():
     with pytest.raises(DomainError):
         BenchRecord(impl="eq3", size=10, repeats=5, median_seconds=1.0,
                     throughput=10.0, exp_fraction=1.5)
+    for size in (-10, 2.5, True):
+        with pytest.raises(DomainError):
+            BenchRecord(impl="eq3", size=size, repeats=5, median_seconds=1.0,
+                        throughput=float(size))
+    with pytest.raises(DomainError):
+        bench_mod.parse_records_csv(bench_mod.BENCH_CSV_HEADER + "\neq3,-10,5,1.0,-10.0,\n")
 
 
 def test_csv_round_trip():
@@ -77,7 +83,10 @@ def test_csv_round_trip():
                     median_seconds=3.0303e-05, throughput=256 / 3.0303e-05),
     ]
     text = bench_mod.records_to_csv(records)
-    assert text.splitlines()[0] == bench_mod.BENCH_CSV_HEADER
+    assert text == ("impl,size,repeats,median_seconds,throughput,exp_fraction\n"
+                    "eq3,1048576,5,0.12345678901234566,8493465.676441193,0.08765432109876543\n"
+                    "eq1,1048576,5,1.718281828459045,610246.8073822109,\n"
+                    "eq3-p4,256,3,3.0303e-05,8448008.448008448,\n")
     assert bench_mod.parse_records_csv(text) == records
 
 

@@ -51,7 +51,10 @@ def test_every_subcommand_has_help(sub, capsys):
     with pytest.raises(SystemExit) as exc:
         main([sub, "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out
+    if sub != "coeffs":
+        assert "--preset {high,fast}" in out
 
 
 def test_grid_csv_schema_and_determinism(capsys):
@@ -226,6 +229,13 @@ def test_bench_cli_emits_parseable_csv(capsys):
     for r in records:
         assert r.size == 1 << 15
         assert r.throughput == r.size / r.median_seconds
+    # pooled at this size; the exp share is timed on one thread, so not attached
+    code, out, _ = run(capsys, "bench", "--impls", "eq3", "--workers", "2",
+                       "--size", "262144", "--repeats", "3")
+    assert code == 0
+    [rec] = bench_mod.parse_records_csv(out)
+    assert rec.impl == "eq3-p2"
+    assert rec.exp_fraction is None
 
 
 def test_bench_cli_fast_preset_guard_uses_fast_gate(capsys):
@@ -255,3 +265,16 @@ def test_bench_cli_bad_workers_is_error(capsys, workers):
 
 def test_parser_prog_name():
     assert build_parser().prog == "voigtkit"
+
+
+def test_parser_defaults_come_from_their_owners():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    presets = [p.name.lower() for p in vk.Preset]
+    for sub in ALL_SUBCOMMANDS:
+        actions = {a.dest: a for a in subparsers[sub]._actions}
+        if sub != "coeffs":
+            assert actions["preset"].choices == presets
+            assert actions["preset"].default == vk.Preset.HIGH.name.lower()
+    bench = subparsers["bench"].parse_args([])
+    assert (bench.size, bench.seed) == (bench_mod.DEFAULT_INPUT_SPEC.size,
+                                        bench_mod.DEFAULT_INPUT_SPEC.seed)

@@ -99,6 +99,7 @@ class TestEvalW:
         ref = _oracle(z)
         assert abs(w - ref) / abs(ref) <= 1e-10
 
+    @pytest.mark.bitwise
     def test_reflection_is_exact_construction(self):
         # the kernel's own construction, bit for bit: 2*exp(-z^2) from the
         # folded coordinates, minus w(-z), in the series region (|z| < 7)
@@ -131,6 +132,7 @@ class TestEvalW:
                 vk.eval_w(z)
             assert err.value.index == 0, z
 
+    @pytest.mark.bitwise
     def test_reflection_phase_near_the_diagonal(self):
         # near |Re z| = |Im z| below the axis, |exp(-z^2)| is about 1 and its
         # phase 2*Re z*Im z is far larger than 2*pi: a rounded product would

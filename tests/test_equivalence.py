@@ -20,6 +20,7 @@ def test_forms_agree_on_seeded_sweep(preset):
     assert rel.max() <= 1e-13
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n_terms", [1, 2, 3, 24, 31])
 def test_custom_tables_forms_agree_and_scalar_matches_batch(n_terms):
     # n_terms = 1 leaves eq3's even-parity term table empty; the patch points

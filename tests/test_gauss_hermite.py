@@ -14,6 +14,8 @@ import pytest
 import voigtkit as vk
 from voigtkit import core
 
+pytestmark = pytest.mark.bitwise
+
 
 def test_singular_points_inside_series_region():
     # the guard-band tests reach the series' patch through eval_batch, so

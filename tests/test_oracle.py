@@ -163,6 +163,12 @@ class TestErrorScan:
             vk.error_scan(grid, lambda zs: vk.eval_eq1_batch(zs, high))
         assert err.value.point == complex(singular, 0.0)
 
+    def test_grid_of_another_type_is_type_error(self):
+        def evaluator(zs):
+            raise AssertionError("evaluator ran")
+        with pytest.raises(TypeError, match="expected GridSpec"):
+            vk.error_scan(([2.0], [2.0]), evaluator)
+
     def test_default_grid_shape(self):
         g = vk.default_grid()
         assert g.x_values.size == 401

@@ -51,6 +51,7 @@ def test_real_axis_identity_including_guarded_points(high):
         assert abs(w.real - math.exp(-x * x)) <= 1e-8, f"at x = {x}"
 
 
+@pytest.mark.bitwise
 def test_batch_output_independent_of_partitioning():
     rng = np.random.default_rng(31)
     zs = rng.uniform(-10, 10, 9999) + 1j * rng.uniform(0.001, 10, 9999)

@@ -12,6 +12,8 @@ import voigtkit as vk
 from voigtkit import ReflectionOverflowError
 from voigtkit import core
 
+pytestmark = pytest.mark.bitwise
+
 POOLED = 4 * core._THREAD_BLOCKS * core._BLOCK    # from here workers=2 runs on threads
 DBL_MAX = np.finfo(np.float64).max
 

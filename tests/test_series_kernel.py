@@ -37,6 +37,7 @@ def _series_points(n, rng):
     return z
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
 @pytest.mark.parametrize("n", [1, 2730, 2731, 4096, BLOCK + 5])
 def test_series_batch_is_scalar_sweep_across_buffer_edge(n, preset):
@@ -72,6 +73,7 @@ RINGS = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.name)
 @pytest.mark.parametrize("name", RINGS)
 def test_region_edge_ring_batch_is_scalar_sweep(name, preset):

@@ -77,6 +77,7 @@ def run_on_threads(fn, n_threads):
     return results
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("n_threads", [2, 3])
 def test_concurrent_calls_match_one_thread_bits(n_threads):
     tasks = concurrent_tasks()

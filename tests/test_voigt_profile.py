@@ -43,6 +43,7 @@ def test_area_closes_to_strength():
     assert abs(area - 1.0) <= 1e-4
 
 
+@pytest.mark.bitwise
 def test_profile_delegates_to_batch(high):
     # the profile equals the eval_batch formula bit for bit, on a 57-point
     # grid and on a 2-D grid above the lock's point count; both reach |x| > 7,

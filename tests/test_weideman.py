@@ -121,6 +121,7 @@ def test_rejects_closed_lower_half_plane(z):
         weideman_w(z, weideman_coefficients(16))
 
 
+@pytest.mark.bitwise
 def test_batch_matches_scalars():
     rng = np.random.default_rng(21)
     zs = rng.uniform(-5, 5, 200) + 1j * rng.uniform(0.05, 5, 200)
