@@ -82,6 +82,9 @@ class BenchRecord:
     exp_fraction: float | None = None
 
     def __post_init__(self):
+        if not self.impl or any(c in self.impl for c in ",\n\r"):
+            raise DomainError("impl must be non-empty, with no comma or line break "
+                              f"(an unquoted CSV field), got {self.impl!r}")
         for name, least in (("size", 1), ("repeats", 3)):
             object.__setattr__(self, name, core._integer(getattr(self, name), name, least))
         if not self.median_seconds > 0.0:
@@ -218,13 +221,15 @@ def exp_time_fraction(zs, params=None, repeats: int = 5) -> float:
     """Share of total batch-evaluation time spent on the single
     transcendental pass B = exp(i*A): the kernel's own exp pass, run over
     the kernel's blocks on the points where the kernel runs it, those with
-    ``np.abs(z) < core._R_GH``.  The two sides run
+    ``np.abs(z) < core._R_GH``, folded to -z where Im z < 0 as the kernel
+    folds them, so Im A >= 0.  The two sides run
     alternately on the same data, one of each per repeat, and the share is
     the median of the per-repeat ratios, so that the machine's speed drift
     cancels."""
     zs, repeats = _checked(zs, repeats)
     params = core._resolve_params(params)
-    A = zs[np.abs(zs) < core._R_GH] * params.tau_m
+    series = zs[np.abs(zs) < core._R_GH]
+    A = np.where(series.imag < 0.0, -series, series) * params.tau_m
 
     def exp_pass(a):
         return core._blocked(a, lambda lo, hi, B: core._exp_pass(a[lo:hi], out=B[lo:hi]))

@@ -70,6 +70,10 @@ def test_record_invariants():
                         throughput=float(size))
     with pytest.raises(DomainError):
         bench_mod.parse_records_csv(bench_mod.BENCH_CSV_HEADER + "\neq3,-10,5,1.0,-10.0,\n")
+    # records_to_csv writes impl unquoted, so it must be one non-empty field
+    for impl in ("", "eq3,x", "a\nb", "a\rb"):
+        with pytest.raises(DomainError, match="impl must be non-empty"):
+            BenchRecord(impl=impl, size=10, repeats=5, median_seconds=1.0, throughput=10.0)
 
 
 def test_csv_round_trip():
@@ -200,6 +204,22 @@ def test_exp_fraction_in_unit_interval():
     zs = generate_inputs(InputSpec(size=1 << 18, seed=42))
     frac = vk.exp_time_fraction(zs, repeats=3)
     assert 0.0 < frac < 1.0
+
+
+def test_exp_fraction_times_the_pass_on_folded_points(monkeypatch):
+    # lower half-plane series points are folded to -z before the pass, as
+    # in the kernel, so the timed pass sees only Im A >= 0
+    seen, original = [], vk.core._exp_pass
+
+    def exp_pass(A, out):
+        seen.append(float(A.imag.min()))
+        return original(A, out)
+
+    monkeypatch.setattr(vk.core, "_exp_pass", exp_pass)
+    zs = generate_inputs(InputSpec(size=1 << 12, seed=42))
+    zs[::2] = zs[::2].conjugate()
+    vk.exp_time_fraction(zs, repeats=3)
+    assert seen and min(seen) >= 0.0
 
 
 def test_exp_fraction_fast_at_least_high():
